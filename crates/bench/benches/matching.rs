@@ -42,11 +42,10 @@ fn bench_matchers(c: &mut Criterion) {
 }
 
 /// The preallocated matcher engine on a power-law instance: lock-free
-/// Suitor vs queue-based parallel LD, cold vs warm-started, over a
-/// weight sequence with the sparse late-iteration changes a converging
-/// aligner produces. The legacy one-shot `ParallelLocalDominant`
-/// (fresh allocations every call) is the baseline.
-fn bench_engine_warm_vs_cold(c: &mut Criterion) {
+/// Suitor vs queue-based parallel LD over a weight sequence. The legacy
+/// one-shot `ParallelLocalDominant` (fresh allocations every call) is
+/// the baseline.
+fn bench_engine_vs_legacy(c: &mut Criterion) {
     let inst = power_law_alignment(&PowerLawParams {
         n: 4000,
         expected_degree: 8.0,
@@ -55,8 +54,7 @@ fn bench_engine_warm_vs_cold(c: &mut Criterion) {
     });
     let l = inst.problem.l.clone();
     let m = l.num_edges();
-    // A converged aligner's rounding inputs: mostly-frozen weights with
-    // a few entries still drifting each iteration.
+    // A sequence of rounding inputs, a few entries drifting per step.
     let steps = 10usize;
     let mut seq: Vec<Vec<f64>> = Vec::with_capacity(steps);
     let mut w = l.weights().to_vec();
@@ -81,26 +79,19 @@ fn bench_engine_warm_vs_cold(c: &mut Criterion) {
             }
         })
     });
-    for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
-        for warm in [false, true] {
-            let name = format!(
-                "{}-{}",
-                match kind {
-                    RoundingMatcher::Ld => "engine-ld",
-                    RoundingMatcher::Suitor => "engine-suitor",
-                },
-                if warm { "warm" } else { "cold" }
-            );
-            group.bench_function(name, |b| {
-                let mut eng = MatcherEngine::new(&l, kind, warm);
-                let counters = MatcherCounters::disabled();
-                b.iter(|| {
-                    for w in &seq {
-                        black_box(eng.run(&l, w, counters));
-                    }
-                })
-            });
-        }
+    for (name, kind) in [
+        ("engine-ld", RoundingMatcher::Ld),
+        ("engine-suitor", RoundingMatcher::Suitor),
+    ] {
+        group.bench_function(name, |b| {
+            let mut eng = MatcherEngine::new(&l, kind);
+            let counters = MatcherCounters::disabled();
+            b.iter(|| {
+                for w in &seq {
+                    black_box(eng.run(&l, w, counters));
+                }
+            })
+        });
     }
     group.finish();
 }
@@ -131,7 +122,7 @@ fn bench_matching_scaling_with_size(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matchers,
-    bench_engine_warm_vs_cold,
+    bench_engine_vs_legacy,
     bench_matching_scaling_with_size
 );
 criterion_main!(benches);

@@ -104,7 +104,6 @@ fn main() {
     let config = AlignConfig {
         iterations,
         rounding: Some(RoundingMatcher::Ld),
-        warm_start: true,
         ..AlignConfig::default()
     };
 

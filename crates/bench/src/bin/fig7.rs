@@ -5,11 +5,10 @@
 //!
 //! Flags: `--scale`, `--iters`, `--seed`, `--threads`, `--batch`,
 //! `--matcher {ld,suitor}` to route the batched rounding through the
-//! preallocated matcher engine, `--warm-start true` to seed each
-//! rounding from the previous mate state of its stream (bit-identical
-//! results either way), `--json PATH` to also write the
-//! machine-readable report (per-thread-count per-step seconds plus the
-//! matcher counters; schema in EXPERIMENTS.md), `--checkpoint DIR` to
+//! preallocated matcher engine (bit-identical results either way),
+//! `--json PATH` to also write the machine-readable report
+//! (per-thread-count per-step seconds plus the matcher counters;
+//! schema in EXPERIMENTS.md), `--checkpoint DIR` to
 //! snapshot each run into `DIR/t{n}` (a rerun of the same command
 //! auto-resumes), and `--resume PATH` to resume from an explicit
 //! snapshot tree. `--mmap DIR` streams the squares matrix to
@@ -62,7 +61,6 @@ fn main() {
             batch,
             matcher: rf.matcher,
             rounding: rf.rounding,
-            warm_start: rf.warm_start,
             trace_matcher: true,
             ..Default::default()
         };

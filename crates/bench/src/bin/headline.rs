@@ -13,14 +13,13 @@
 //!
 //! Flags: `--scale`, `--iters`, `--seed`, `--threads` (max pool size),
 //! `--matcher {ld,suitor}` to route the approximate configurations'
-//! rounding through the preallocated matcher engine, `--warm-start
-//! true` to warm-start it (the exact baseline is unaffected), `--json
-//! PATH` to also write the machine-readable report (one full
-//! [`AlignmentResult::report_json`] per configuration; schema in
-//! EXPERIMENTS.md), `--checkpoint DIR` to snapshot each configuration
-//! into its own `DIR/<slug>` subdirectory (a rerun of the same command
-//! auto-resumes), and `--resume PATH` to resume from an explicit
-//! snapshot tree. `--mmap DIR` streams the squares matrix to
+//! rounding through the preallocated matcher engine (the exact
+//! baseline is unaffected), `--json PATH` to also write the machine-
+//! readable report (one full [`AlignmentResult::report_json`] per
+//! configuration; schema in EXPERIMENTS.md), `--checkpoint DIR` to
+//! snapshot each configuration into its own `DIR/<slug>` subdirectory
+//! (a rerun of the same command auto-resumes), and `--resume PATH` to
+//! resume from an explicit snapshot tree. `--mmap DIR` streams the squares matrix to
 //! `DIR/s.nacs` and runs on the memory-mapped view (bit-identical);
 //! `--max-resident-mb N` bounds the build and exits 6 when infeasible.
 
@@ -58,7 +57,6 @@ fn main() {
             "exact-t1",
             MatcherKind::Exact,
             None,
-            false,
             1usize,
         ),
         (
@@ -66,7 +64,6 @@ fn main() {
             "approx-t1",
             rf.matcher,
             rf.rounding,
-            rf.warm_start,
             1,
         ),
         (
@@ -74,7 +71,6 @@ fn main() {
             "approx-tmax",
             rf.matcher,
             rf.rounding,
-            rf.warm_start,
             max_threads,
         ),
     ];
@@ -83,13 +79,12 @@ fn main() {
     let mut t = Table::new(&["configuration", "threads", "seconds", "objective"]);
     let mut results = Vec::new();
     let mut reports = Vec::new();
-    for (name, slug, matcher, rounding, warm_start, nt) in runs {
+    for (name, slug, matcher, rounding, nt) in runs {
         let cfg = AlignConfig {
             iterations: iters,
             batch: 20,
             matcher,
             rounding,
-            warm_start,
             trace_matcher: true,
             ..Default::default()
         };

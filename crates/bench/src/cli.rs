@@ -115,31 +115,22 @@ impl Args {
 }
 
 /// The matcher configuration the figure binaries share: which matcher
-/// rounds the iterates, whether the preallocated engine backs it, and
-/// whether successive calls warm-start from the previous mate state.
+/// rounds the iterates, and whether the preallocated engine backs it.
 #[derive(Clone, Copy, Debug)]
 pub struct RoundingFlags {
     /// Legacy one-shot matcher kind (also used by the final rounding).
     pub matcher: MatcherKind,
     /// Engine selection for [`netalign_core::AlignConfig::rounding`].
     pub rounding: Option<RoundingMatcher>,
-    /// Warm-start the engine between rounding calls.
-    pub warm_start: bool,
 }
 
-/// Parse the `--matcher {ld,suitor}` / `--warm-start true` flags shared
-/// by `fig6`, `fig7` and `headline`. Without `--matcher` the legacy
-/// cold queue-based parallel LD path is kept — unless `--warm-start
-/// true` alone is given, which defaults the engine to `ld` (warm starts
-/// need the engine's persistent state).
+/// Parse the `--matcher {ld,suitor}` flag shared by `fig6`, `fig7` and
+/// `headline`. Without `--matcher` the legacy queue-based parallel LD
+/// path is kept.
 pub fn rounding_flags(args: &Args) -> RoundingFlags {
-    let warm_start = args.bool("warm-start", false);
     let name = args.string("matcher", "");
     let (matcher, rounding) = match name.as_str() {
-        "" => (
-            MatcherKind::ParallelLocalDominant,
-            warm_start.then_some(RoundingMatcher::Ld),
-        ),
+        "" => (MatcherKind::ParallelLocalDominant, None),
         "ld" => (
             MatcherKind::ParallelLocalDominant,
             Some(RoundingMatcher::Ld),
@@ -147,11 +138,7 @@ pub fn rounding_flags(args: &Args) -> RoundingFlags {
         "suitor" => (MatcherKind::ParallelSuitor, Some(RoundingMatcher::Suitor)),
         other => panic!("--matcher must be 'ld' or 'suitor', got '{other}'"),
     };
-    RoundingFlags {
-        matcher,
-        rounding,
-        warm_start,
-    }
+    RoundingFlags { matcher, rounding }
 }
 
 #[cfg(test)]
@@ -192,8 +179,8 @@ mod tests {
 
     #[test]
     fn bool_flags_parse() {
-        let a = args(&["--warm-start", "true", "--other", "no"]);
-        assert!(a.bool("warm-start", false));
+        let a = args(&["--compare", "true", "--other", "no"]);
+        assert!(a.bool("compare", false));
         assert!(!a.bool("other", true));
         assert!(a.bool("missing", true));
     }
@@ -201,29 +188,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be true or false")]
     fn bad_bool_panics() {
-        let a = args(&["--warm-start", "maybe"]);
-        let _ = a.bool("warm-start", false);
+        let a = args(&["--compare", "maybe"]);
+        let _ = a.bool("compare", false);
     }
 
     #[test]
-    fn rounding_flags_default_is_legacy_cold() {
+    fn rounding_flags_default_is_legacy() {
         let rf = rounding_flags(&args(&[]));
         assert_eq!(rf.matcher, MatcherKind::ParallelLocalDominant);
         assert_eq!(rf.rounding, None);
-        assert!(!rf.warm_start);
     }
 
     #[test]
     fn rounding_flags_select_engines() {
-        let rf = rounding_flags(&args(&["--matcher", "suitor", "--warm-start", "true"]));
+        let rf = rounding_flags(&args(&["--matcher", "suitor"]));
         assert_eq!(rf.matcher, MatcherKind::ParallelSuitor);
         assert_eq!(rf.rounding, Some(RoundingMatcher::Suitor));
-        assert!(rf.warm_start);
 
-        // --warm-start alone defaults the engine to ld.
-        let rf = rounding_flags(&args(&["--warm-start", "true"]));
+        let rf = rounding_flags(&args(&["--matcher", "ld"]));
         assert_eq!(rf.matcher, MatcherKind::ParallelLocalDominant);
         assert_eq!(rf.rounding, Some(RoundingMatcher::Ld));
-        assert!(rf.warm_start);
     }
 }

@@ -141,13 +141,11 @@ pub struct BpEngine<'a> {
     pending_iter: Vec<usize>,
     pending_bufs: Vec<Vec<f64>>,
     buf_pool: Vec<Vec<f64>>,
-    // Engine-mode rounding (config.rounding set): two preallocated
-    // matcher engines, because `step` stages y then z — index parity
-    // routes each stream to its own engine, so warm starts always diff
-    // y(k) against y(k-1) and z(k) against z(k-1), never y against z.
-    // Empty in legacy mode. `eval_marks` is the all-false scratch for
-    // the allocation-free objective evaluation of each rounded iterate.
-    rounding: Vec<MatcherEngine>,
+    // Engine-mode rounding (config.rounding set): one preallocated
+    // matcher engine rounds every staged vector, y and z alike. `None`
+    // in legacy mode. `eval_marks` is the all-false scratch for the
+    // allocation-free objective evaluation of each rounded iterate.
+    rounding: Option<MatcherEngine>,
     eval_marks: Vec<bool>,
     // Degradation-ladder override of `config.batch` (rung 1): the
     // harness escalates the rounding batch under deadline pressure,
@@ -235,12 +233,7 @@ impl<'a> BpEngine<'a> {
             pending_iter: Vec::with_capacity(batch_cap),
             pending_bufs: Vec::with_capacity(batch_cap),
             buf_pool: Vec::with_capacity(batch_cap),
-            rounding: match config.rounding {
-                Some(kind) => (0..2)
-                    .map(|_| MatcherEngine::new(&p.l, kind, config.warm_start))
-                    .collect(),
-                None => Vec::new(),
-            },
+            rounding: config.rounding.map(|kind| MatcherEngine::new(&p.l, kind)),
             eval_marks: vec![false; if config.rounding.is_some() { m } else { 0 }],
             batch_override: None,
             best: None,
@@ -604,23 +597,21 @@ impl<'a> BpEngine<'a> {
     }
 
     /// Degradation-ladder rung 2: route every further rounding through
-    /// warm-started lock-free Suitor engines — the cheapest matcher in
-    /// the workspace. A no-op when the engine already rounds that way;
-    /// otherwise the replacement engines allocate once (accepted: the
-    /// ladder fires rarely, and shedding matcher cost dominates the
-    /// one-time allocation).
+    /// a lock-free Suitor engine, dropping the legacy allocate-per-call
+    /// path if it was in use. A no-op when the engine already rounds
+    /// that way; otherwise the replacement engine allocates once.
+    /// Suitor is not cheaper than LD on every instance, so whether this
+    /// rung saves time is an open question (EXPERIMENTS.md, matcher
+    /// engine section).
     pub fn force_cheap_rounding(&mut self) {
-        let already = self.rounding.len() == 2
-            && self
-                .rounding
-                .iter()
-                .all(|e| e.kind() == RoundingMatcher::Suitor && e.warm());
-        if already {
+        if self
+            .rounding
+            .as_ref()
+            .is_some_and(|e| e.kind() == RoundingMatcher::Suitor)
+        {
             return;
         }
-        self.rounding = (0..2)
-            .map(|_| MatcherEngine::new(&self.p.l, RoundingMatcher::Suitor, true))
-            .collect();
+        self.rounding = Some(MatcherEngine::new(&self.p.l, RoundingMatcher::Suitor));
         let m = self.p.l.num_edges();
         if self.eval_marks.len() != m {
             self.eval_marks = vec![false; m];
@@ -643,8 +634,8 @@ impl<'a> BpEngine<'a> {
             return;
         }
         let t0 = Instant::now();
-        if !self.rounding.is_empty() {
-            self.round_pending_with_engines(t0);
+        if self.rounding.is_some() {
+            self.round_pending_with_engine(t0);
             self.post_round_release();
             return;
         }
@@ -702,11 +693,10 @@ impl<'a> BpEngine<'a> {
     }
 
     /// Engine-mode tail of [`BpEngine::round_pending`]: route each
-    /// staged vector through its stream's preallocated matcher engine
-    /// (in order, so warm starts see consecutive iterates) and evaluate
-    /// through the mark scratch. Same bookkeeping as the legacy path,
-    /// zero steady-state allocation.
-    fn round_pending_with_engines(&mut self, t0: Instant) {
+    /// staged vector through the preallocated matcher engine and
+    /// evaluate through the mark scratch. Same bookkeeping as the
+    /// legacy path, zero steady-state allocation.
+    fn round_pending_with_engine(&mut self, t0: Instant) {
         let (alpha, beta) = (self.config.alpha, self.config.beta);
         let record_history = self.config.record_history;
         let Self {
@@ -729,8 +719,8 @@ impl<'a> BpEngine<'a> {
             .algo
             .rounding_batch_sizes
             .push(pending_bufs.len() as u64);
+        let engine = rounding.as_mut().expect("engine-mode rounding");
         for (idx, (&iter_k, g)) in pending_iter.iter().zip(pending_bufs.iter()).enumerate() {
-            let engine = &mut rounding[idx % 2];
             let matching = engine.run(&p.l, g, counters);
             let value = evaluate_matching_with_scratch(p, matching, alpha, beta, eval_marks);
             if let Some(rec) = recorder.as_mut() {
@@ -766,7 +756,7 @@ impl<'a> BpEngine<'a> {
     /// path does not drive the stage hook.
     pub fn set_recorder(&mut self, recorder: crate::delta::TrajectoryRecorder) {
         assert!(
-            !self.rounding.is_empty(),
+            self.rounding.is_some(),
             "trajectory recording requires engine-mode rounding (config.rounding)"
         );
         assert!(
@@ -831,43 +821,11 @@ impl<'a> BpEngine<'a> {
         self.history = state.history;
         self.trace.algo = state.algo;
         self.counters.preload(&state.matcher);
-        // The engines' warm memory refers to whatever they matched
-        // before the restore, not to the restored iterates — force the
-        // next run of each back to a cold pass (warm ≡ cold, so the
-        // resumed run stays bit-identical).
-        for e in &mut self.rounding {
-            e.invalidate();
-        }
-    }
-
-    /// Hand the engine previously [released](Self::release_rounding)
-    /// rounding engines so their warm memory carries across runs; the
-    /// serving engine cache uses this to warm-start repeat requests on
-    /// the same candidate graph. Returns `false` (keeping the freshly
-    /// allocated engines) unless exactly two engines are offered and
-    /// every one still binds this problem's `L`.
-    pub fn adopt_rounding(&mut self, engines: Vec<MatcherEngine>) -> bool {
-        if self.config.rounding.is_none()
-            || engines.len() != 2
-            || engines.iter().any(|e| !e.binds(&self.p.l))
-        {
-            return false;
-        }
-        self.rounding = engines;
-        true
-    }
-
-    /// Take the rounding engines — warm memory included — out of the
-    /// engine for reuse by a later run on the same graph. Only valid
-    /// after [`finish_in_place`](Self::finish_in_place); the engine
-    /// must not be stepped afterwards.
-    pub fn release_rounding(&mut self) -> Vec<MatcherEngine> {
-        std::mem::take(&mut self.rounding)
     }
 
     /// Flush any remaining staged iterates and assemble the result,
     /// leaving the engine hollow but alive so owned components (the
-    /// rounding engines) can still be recovered afterwards.
+    /// trajectory recorder) can still be taken afterwards.
     pub fn finish_in_place(&mut self) -> AlignmentResult {
         self.round_pending();
         let history = std::mem::take(&mut self.history);
@@ -1252,9 +1210,9 @@ mod tests {
         assert_eq!(via_wrapper.best_iteration, manual.best_iteration);
     }
 
-    /// The preallocated rounding engine — cold or warm, LD or Suitor —
-    /// reproduces the legacy `ParallelLocalDominant` run bit-for-bit:
-    /// same incumbent, same matching, same per-rounding history.
+    /// The preallocated rounding engine — LD or Suitor — reproduces the
+    /// legacy `ParallelLocalDominant` run bit-for-bit: same incumbent,
+    /// same matching, same per-rounding history.
     #[test]
     fn engine_rounding_matches_legacy_parallel_ld() {
         use netalign_matching::RoundingMatcher;
@@ -1273,51 +1231,24 @@ mod tests {
             };
             let legacy = belief_propagation(&p, &legacy_cfg);
             for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
-                for warm in [false, true] {
-                    let cfg = AlignConfig {
-                        rounding: Some(kind),
-                        warm_start: warm,
-                        ..legacy_cfg
-                    };
-                    let r = belief_propagation(&p, &cfg);
-                    assert_eq!(
-                        r.objective.to_bits(),
-                        legacy.objective.to_bits(),
-                        "batch {batch}, {kind:?}, warm {warm}"
-                    );
-                    assert_eq!(r.matching, legacy.matching);
-                    assert_eq!(r.best_iteration, legacy.best_iteration);
-                    assert_eq!(r.history.len(), legacy.history.len());
-                    for (h, lh) in r.history.iter().zip(&legacy.history) {
-                        assert_eq!(h.iteration, lh.iteration);
-                        assert_eq!(h.objective.to_bits(), lh.objective.to_bits());
-                    }
+                let cfg = AlignConfig {
+                    rounding: Some(kind),
+                    ..legacy_cfg
+                };
+                let r = belief_propagation(&p, &cfg);
+                assert_eq!(
+                    r.objective.to_bits(),
+                    legacy.objective.to_bits(),
+                    "batch {batch}, {kind:?}"
+                );
+                assert_eq!(r.matching, legacy.matching);
+                assert_eq!(r.best_iteration, legacy.best_iteration);
+                assert_eq!(r.history.len(), legacy.history.len());
+                for (h, lh) in r.history.iter().zip(&legacy.history) {
+                    assert_eq!(h.iteration, lh.iteration);
+                    assert_eq!(h.objective.to_bits(), lh.objective.to_bits());
                 }
             }
         }
-    }
-
-    /// Warm-started engine rounding actually reuses state: once the
-    /// `γᵏ` damping decays below one ulp (γ = 0.5, k > 53) the iterates
-    /// freeze bit-exactly and every later rounding is a full warm hit.
-    #[test]
-    fn warm_engine_reports_reuse_over_a_run() {
-        use netalign_matching::RoundingMatcher;
-        let p = tiny_problem();
-        let cfg = AlignConfig {
-            iterations: 60,
-            gamma: 0.5,
-            matcher: MatcherKind::ParallelLocalDominant,
-            rounding: Some(RoundingMatcher::Ld),
-            warm_start: true,
-            trace_matcher: true,
-            ..Default::default()
-        };
-        let r = belief_propagation(&p, &cfg);
-        assert!(
-            r.trace.matcher.warm_hits > 0,
-            "expected warm hits, got {:?}",
-            r.trace.matcher
-        );
     }
 }

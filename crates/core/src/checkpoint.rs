@@ -13,10 +13,11 @@
 //!
 //! # File format (version 2)
 //!
-//! Version 2 extends the matcher-counter block with the Suitor and
-//! warm-start counters (`proposals`, `displacements`, `warm_hits`,
-//! `reseeded_vertices`); version-1 files are rejected with
-//! [`CheckpointError::VersionMismatch`]. Little-endian throughout:
+//! Version 2 extends the matcher-counter block with the Suitor
+//! counters (`proposals`, `displacements`) and two slots,
+//! `warm_hits` and `reseeded_vertices`, that are always written as 0
+//! since rounding stopped warm-starting; version-1 files are rejected
+//! with [`CheckpointError::VersionMismatch`]. Little-endian throughout:
 //!
 //! ```text
 //! magic      4 bytes   b"NACP"
@@ -302,21 +303,11 @@ impl CheckpointState {
 // FNV-1a + config fingerprint
 // ---------------------------------------------------------------------
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a 64-bit hash — the checksum used by every on-disk format in
 /// the workspace (checkpoints, serve-layer spill files, the operations
-/// journal), exported so they all agree on one implementation.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
-}
+/// journal), re-exported from the NACS container so they all agree on
+/// one implementation.
+pub use netalign_graph::nacs::fnv1a64;
 
 /// Fingerprint of every config field that influences the iteration
 /// trajectory. Observability toggles (`record_history`,
@@ -325,7 +316,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// different checkpoint interval than the original run.
 pub fn config_fingerprint(config: &AlignConfig) -> u64 {
     let canonical = format!(
-        "alpha={};beta={};gamma={};iterations={};mstep={};batch={};matcher={:?};damping={:?};enriched={};final_exact={};guards={};rounding={:?};warm={}",
+        "alpha={};beta={};gamma={};iterations={};mstep={};batch={};matcher={:?};damping={:?};enriched={};final_exact={};guards={};rounding={:?}",
         config.alpha.to_bits(),
         config.beta.to_bits(),
         config.gamma.to_bits(),
@@ -338,9 +329,8 @@ pub fn config_fingerprint(config: &AlignConfig) -> u64 {
         config.final_exact_round,
         config.numeric_guards,
         config.rounding,
-        config.warm_start,
     );
-    fnv1a(canonical.as_bytes())
+    fnv1a64(canonical.as_bytes())
 }
 
 fn problem_shape(p: &NetAlignProblem) -> (u64, u64, u64, u64) {
@@ -794,7 +784,7 @@ pub fn write_checkpoint(
     }
     bytes.extend_from_slice(&config_fingerprint(config).to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
 
     if let Some(damage) = faults::checkpoint_damage() {
@@ -907,7 +897,7 @@ pub fn load_checkpoint(
                 bytes.len() - HEADER_LEN
             ))
         })?;
-    let actual = fnv1a(payload);
+    let actual = fnv1a64(payload);
     if actual != checksum {
         return Err(corrupt(format!(
             "checksum mismatch: stored {checksum:#018x}, computed {actual:#018x}"

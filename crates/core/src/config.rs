@@ -83,7 +83,7 @@ impl Default for CheckpointPolicy {
 /// incumbent with a `DeadlineBestSoFar` completion. The budget also
 /// feeds the graceful-degradation ladder: an EWMA of per-iteration cost
 /// is compared against the remaining time, and the harness sheds
-/// rounding work (larger BP batches, forced warm Suitor rounding)
+/// rounding work (larger BP batches, a forced switch to Suitor rounding)
 /// *before* the deadline instead of dying at it.
 ///
 /// Wall-clock pressure only ever decides *when* the run stops or
@@ -173,11 +173,6 @@ pub struct AlignConfig {
     /// per-call allocations. The final rounding in `finalize` still
     /// uses [`AlignConfig::matcher`].
     pub rounding: Option<RoundingMatcher>,
-    /// Warm-start the rounding engine: seed each matcher call from the
-    /// previous call's mate state and reprocess only vertices a weight
-    /// change can affect. Requires [`AlignConfig::rounding`]; results
-    /// stay bit-identical to cold runs at every pool size.
-    pub warm_start: bool,
     /// Numerical guard rails: finite-check the iterate at the end of
     /// every iteration and, on a non-finite value, roll back to the
     /// last finite iterate and tighten the damping/step size (BP:
@@ -209,7 +204,6 @@ impl Default for AlignConfig {
             record_history: false,
             trace_matcher: false,
             rounding: None,
-            warm_start: false,
             numeric_guards: true,
             checkpoint: CheckpointPolicy::disabled(),
         }
@@ -236,10 +230,6 @@ impl AlignConfig {
         assert!(self.iterations > 0, "need at least one iteration");
         assert!(self.batch >= 1, "batch must be at least 1");
         assert!(self.mstep >= 1, "mstep must be at least 1");
-        assert!(
-            !self.warm_start || self.rounding.is_some(),
-            "warm_start requires a rounding engine (set rounding)"
-        );
         assert!(
             self.checkpoint.every_secs >= 0.0,
             "checkpoint.every_secs must be non-negative, got {}",
@@ -289,21 +279,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "warm_start")]
-    fn rejects_warm_start_without_engine() {
-        AlignConfig {
-            warm_start: true,
-            rounding: None,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
     fn engine_config_is_valid() {
         AlignConfig {
             rounding: Some(RoundingMatcher::Suitor),
-            warm_start: true,
             ..Default::default()
         }
         .validate();

@@ -1,5 +1,5 @@
-//! Incremental re-alignment: delta-proportional warm starts for
-//! evolving graphs (ROADMAP item 2).
+//! Incremental re-alignment: delta-proportional re-solves for
+//! evolving graphs.
 //!
 //! A *recorded* BP run captures its full per-iteration trajectory —
 //! the damped `y`/`z`/`S⁽ᵏ⁾` iterates plus every rounded stage's
@@ -20,7 +20,8 @@
 //! 4. a rounded stage whose heuristic vector came out bitwise
 //!    unchanged reuses the recorded matching (matchers are pure
 //!    functions of `(structure(L), g)`); otherwise the stage is
-//!    re-rounded through the warm matcher engines.
+//!    re-rounded by a sequential greedy matcher, which computes the
+//!    same unique matching.
 //!
 //! The bet is locality: `F = bound₀^β(β + S⁽ᵏ⁻¹⁾ᵀ)` saturates and the
 //! `othermax` operators ignore non-maximal siblings, so most
@@ -48,7 +49,7 @@ use crate::squares::SquaresPatchStats;
 use crate::trace::{AlgoCounters, MatcherCounters, RunTrace};
 use netalign_graph::delta::REMOVED;
 use netalign_graph::{EdgeId, VertexId};
-use netalign_matching::{GreedyScratch, MatcherEngine, Matching};
+use netalign_matching::{GreedyScratch, Matching};
 
 pub use netalign_graph::delta::{CandidateDelta, DeltaError, GraphDelta};
 
@@ -318,7 +319,7 @@ pub struct DeltaStats {
     pub seed_rows: usize,
     /// Rounded stages whose recorded matching was reused.
     pub stages_reused: usize,
-    /// Rounded stages re-run through the matcher engines.
+    /// Rounded stages re-matched because their input changed.
     pub stages_rematched: usize,
     /// Iteration at which the sparse replay escaped to a full engine
     /// resume, if it did.
@@ -336,18 +337,14 @@ pub struct ReplayOutput {
     pub result: AlignmentResult,
     /// Sparse-replay work accounting.
     pub stats: DeltaStats,
-    /// Rounding engines bound to the patched `L`, warm for the next
-    /// delta.
-    pub engines: Vec<MatcherEngine>,
 }
 
 /// A recorded base run bundled with everything needed to apply deltas:
-/// the problem, its config, the trajectory, and warm matcher engines.
+/// the problem, its config and the trajectory.
 pub struct DeltaBase {
     problem: NetAlignProblem,
     config: AlignConfig,
     trajectory: Option<BpTrajectory>,
-    engines: Vec<MatcherEngine>,
 }
 
 impl DeltaBase {
@@ -357,14 +354,13 @@ impl DeltaBase {
         problem: NetAlignProblem,
         config: AlignConfig,
     ) -> Result<(AlignmentResult, DeltaBase), DeltaError> {
-        let (result, trajectory, engines) = record_bp(&problem, &config, Vec::new())?;
+        let (result, trajectory) = record_bp(&problem, &config)?;
         Ok((
             result,
             DeltaBase {
                 problem,
                 config,
                 trajectory: Some(trajectory),
-                engines,
             },
         ))
     }
@@ -374,7 +370,6 @@ impl DeltaBase {
         problem: NetAlignProblem,
         config: AlignConfig,
         trajectory: BpTrajectory,
-        engines: Vec<MatcherEngine>,
     ) -> Self {
         assert_eq!(trajectory.m, problem.l.num_edges());
         assert_eq!(trajectory.nnz, problem.s.nnz());
@@ -382,7 +377,6 @@ impl DeltaBase {
             problem,
             config,
             trajectory: Some(trajectory),
-            engines,
         }
     }
 
@@ -412,14 +406,12 @@ impl DeltaBase {
             .trajectory
             .take()
             .ok_or_else(|| DeltaError::Unsupported("delta base needs re-recording".into()))?;
-        let engines = std::mem::take(&mut self.engines);
         // Validation and patching fail before the trajectory is touched,
         // so a rejected delta leaves the base intact and reusable.
-        match replay_bp(&self.problem, &self.config, &mut trajectory, delta, engines) {
+        match replay_bp(&self.problem, &self.config, &mut trajectory, delta) {
             Ok(out) => {
                 self.problem = out.problem;
                 self.trajectory = Some(trajectory);
-                self.engines = out.engines;
                 Ok((out.result, out.stats))
             }
             Err(e) => {
@@ -432,13 +424,11 @@ impl DeltaBase {
 
 /// Run a plain recorded BP solve (no budget/deadline machinery): the
 /// building block behind [`DeltaBase::record`] and the harness's
-/// `run_bp_recorded`. `warm` engines are adopted when they still bind
-/// `problem.l`.
+/// `run_bp_recorded`.
 pub fn record_bp(
     problem: &NetAlignProblem,
     config: &AlignConfig,
-    warm: Vec<MatcherEngine>,
-) -> Result<(AlignmentResult, BpTrajectory, Vec<MatcherEngine>), DeltaError> {
+) -> Result<(AlignmentResult, BpTrajectory), DeltaError> {
     if config.rounding.is_none() {
         return Err(DeltaError::Unsupported(
             "trajectory recording requires engine-mode rounding (config.rounding)".into(),
@@ -450,9 +440,6 @@ pub fn record_bp(
         ));
     }
     let mut engine = BpEngine::new(problem, config);
-    if !warm.is_empty() {
-        let _ = engine.adopt_rounding(warm);
-    }
     engine.set_recorder(TrajectoryRecorder::new(
         problem.l.num_edges(),
         problem.s.nnz(),
@@ -470,13 +457,12 @@ pub fn record_bp(
         .take_recorder()
         .expect("recorder attached above")
         .into_trajectory();
-    let engines = engine.release_rounding();
     if trajectory.numeric_recoveries > 0 {
         return Err(DeltaError::Unsupported(
             "base run hit numeric recoveries; delta replay cannot model the halved damping".into(),
         ));
     }
-    Ok((result, trajectory, engines))
+    Ok((result, trajectory))
 }
 
 /// Patch `p` by `delta`, rebuilding only what the delta touches.
@@ -575,7 +561,6 @@ pub fn replay_bp(
     config: &AlignConfig,
     trajectory: &mut BpTrajectory,
     delta: &ProblemDelta,
-    engines: Vec<MatcherEngine>,
 ) -> Result<ReplayOutput, DeltaError> {
     if config.rounding.is_none() {
         return Err(DeltaError::Unsupported(
@@ -600,8 +585,7 @@ pub fn replay_bp(
 
     let patched = patch(p, delta)?;
     // Everything fallible is done; from here the trajectory mutates.
-    let out = replay_patched(p, config, trajectory, delta, patched, engines);
-    Ok(out)
+    Ok(replay_patched(p, config, trajectory, delta, patched))
 }
 
 fn replay_patched(
@@ -610,7 +594,6 @@ fn replay_patched(
     trajectory: &mut BpTrajectory,
     delta: &ProblemDelta,
     patched: Patched,
-    engines: Vec<MatcherEngine>,
 ) -> ReplayOutput {
     let Patched {
         problem: p2,
@@ -703,23 +686,6 @@ fn replay_patched(
     seed.sort_unstable();
     seed.dedup();
 
-    // Rounding engines for the patched L: reuse the cached pair when
-    // it still binds (cold-start their warm memory — it refers to the
-    // pre-delta vectors), else build fresh. The sparse replay itself
-    // rounds through a sequential greedy scratch; the engines serve
-    // the escape path and go back to the caller warm-capable.
-    let kind = config.rounding.expect("validated by replay_bp");
-    let mut engines = engines;
-    if engines.len() == 2 && engines.iter().all(|e| e.binds(&p2.l)) {
-        for e in &mut engines {
-            e.invalidate();
-        }
-    } else {
-        engines = (0..2)
-            .map(|_| MatcherEngine::new(&p2.l, kind, config.warm_start))
-            .collect();
-    }
-
     let mut stats = DeltaStats {
         iterations_total: tt,
         row_slots_total: m2 * tt,
@@ -744,13 +710,12 @@ fn replay_patched(
     if let Some(k_esc) = escape_k {
         stats.escaped_at = Some(k_esc);
         stats.delta_reused_iterations = k_esc - 1;
-        let (result, traj2, engines2) = escape_resume(&p2, config, k_esc, traj, engines);
+        let (result, traj2) = escape_resume(&p2, config, k_esc, traj);
         *trajectory = traj2;
         return ReplayOutput {
             problem: p2,
             result,
             stats,
-            engines: engines2,
         };
     }
 
@@ -796,7 +761,6 @@ fn replay_patched(
         problem: p2,
         result,
         stats,
-        engines,
     }
 }
 
@@ -1066,8 +1030,7 @@ fn escape_resume(
     config: &AlignConfig,
     k_esc: usize,
     traj: BpTrajectory,
-    engines: Vec<MatcherEngine>,
-) -> (AlignmentResult, BpTrajectory, Vec<MatcherEngine>) {
+) -> (AlignmentResult, BpTrajectory) {
     let kb = k_esc - 1;
     let (m2, nnz2) = (traj.m, traj.nnz);
     let batch = config.batch.max(1);
@@ -1108,7 +1071,6 @@ fn escape_resume(
     };
 
     let mut engine = BpEngine::new(p2, config);
-    let _ = engine.adopt_rounding(engines);
     if kb > 0 {
         let mut pending_iter = Vec::new();
         let mut pending_bufs = Vec::new();
@@ -1146,8 +1108,7 @@ fn escape_resume(
         .take_recorder()
         .expect("recorder attached above")
         .into_trajectory();
-    let engines = engine.release_rounding();
-    (result, traj, engines)
+    (result, traj)
 }
 
 #[cfg(test)]
@@ -1170,7 +1131,6 @@ mod tests {
             iterations,
             batch,
             rounding: Some(RoundingMatcher::Ld),
-            warm_start: true,
             record_history: true,
             ..Default::default()
         }
@@ -1205,7 +1165,7 @@ mod tests {
     fn recording_does_not_perturb_the_run() {
         let p = instance(30, 71);
         let config = cfg(7, 2);
-        let (r, traj, _engines) = record_bp(&p, &config, Vec::new()).unwrap();
+        let (r, traj) = record_bp(&p, &config).unwrap();
         assert_eq!(traj.iterations(), 7);
         assert_eq!(traj.num_candidates(), p.l.num_edges());
         let c = belief_propagation(&p, &config);
@@ -1329,6 +1289,9 @@ mod tests {
 
     #[test]
     fn wide_delta_escapes_to_engine_resume() {
+        // The escape hatch steps a real BpEngine past iteration 7, where
+        // a concurrent harness test arms a process-global kill fault.
+        let _guard = crate::trace::faults::test_lock();
         let p = instance(120, 41);
         assert!(
             p.l.num_edges() > 260,
@@ -1366,15 +1329,17 @@ mod tests {
     /// rebuild, incumbent fold).
     #[test]
     fn escape_resume_from_midpoint_matches_cold() {
+        // The escape hatch steps a real BpEngine past iteration 7, where
+        // a concurrent harness test arms a process-global kill fault.
+        let _guard = crate::trace::faults::test_lock();
         let p = instance(40, 51);
         for batch in [1, 3] {
             let config = cfg(10, batch);
-            let (cold, traj, engines) = record_bp(&p, &config, Vec::new()).unwrap();
+            let (cold, traj) = record_bp(&p, &config).unwrap();
             for k_esc in [1, 5, 10] {
-                let (r, _t, _e) = escape_resume(&p, &config, k_esc, traj.clone(), Vec::new());
+                let (r, _t) = escape_resume(&p, &config, k_esc, traj.clone());
                 assert_bit_identical(&r, &cold);
             }
-            drop(engines);
         }
     }
 
@@ -1386,7 +1351,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            record_bp(&p, &config, Vec::new()),
+            record_bp(&p, &config),
             Err(DeltaError::Unsupported(_))
         ));
     }

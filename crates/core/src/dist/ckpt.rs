@@ -8,6 +8,13 @@
 //! edge range, and re-seeds every worker from that state — respawned
 //! replacements and re-partitioned survivors alike.
 //!
+//! The files need atomicity, not durability. The state directory
+//! belongs to one coordinator run, and only that run reads the files
+//! back, keeping its resume point in memory. A worker crash leaves the
+//! files intact in the page cache; a host crash ends the run, and no
+//! later run reads them. So writes are tmp + rename without `fsync`:
+//! a sync per superstep on every worker would buy nothing.
+//!
 //! Layout (little-endian, [`crate::dist::wire`] primitives):
 //!
 //! ```text
@@ -18,6 +25,7 @@
 //! ```
 
 use super::wire::{Dec, Enc};
+use netalign_graph::nacs::fnv1a64;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -39,15 +47,6 @@ pub struct CkptBlock {
     pub sk_prev: Vec<f64>,
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// File name for `part`'s checkpoint at `iteration`.
 pub fn file_name(part: u32, iteration: u32) -> String {
     format!("part{part}-k{iteration}.ckpt")
@@ -60,8 +59,9 @@ fn parse_name(name: &str) -> Option<(u32, u32)> {
     Some((part.parse().ok()?, iter.parse().ok()?))
 }
 
-/// Durably write `block` under `dir` (tmp + rename) and prune this
-/// part's files older than the previous iteration.
+/// Atomically write `block` under `dir` (tmp + rename, no `fsync`: see
+/// the module docs) and prune this part's files older than the
+/// previous iteration.
 pub fn write(dir: &Path, block: &CkptBlock) -> io::Result<PathBuf> {
     let mut e = Enc::new();
     e.u8(MAGIC[0]);

@@ -53,7 +53,7 @@
 //! Under pressure — an EWMA of per-iteration cost approaching the
 //! remaining budget — the harness climbs a degradation ladder *before*
 //! the deadline: (1) BP escalates the rounding batch (`BP(batch=r)`),
-//! (2) both engines force warm-started Suitor rounding, (3) the run
+//! (2) both engines switch to Suitor rounding, (3) the run
 //! cuts a final checkpoint (same atomic tmp+rename path as mid-run
 //! snapshots) and returns best-so-far. The ladder sheds only *rounding
 //! frequency and matcher cost*; completed iterations are never
@@ -74,7 +74,6 @@ use crate::problem::NetAlignProblem;
 use crate::result::AlignmentResult;
 use crate::trace::cancel::{self, CancelReason, CancelToken, Watchdog};
 use crate::trace::faults;
-use netalign_matching::MatcherEngine;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -344,27 +343,7 @@ impl RunHarness {
         p: &NetAlignProblem,
         config: &AlignConfig,
     ) -> Result<AlignOutcome, HarnessError> {
-        self.run_bp_warm(p, config, Vec::new()).map(|(o, _)| o)
-    }
-
-    /// [`run_bp`](Self::run_bp) with rounding-engine recycling: `warm`
-    /// engines previously released by a run on the same candidate graph
-    /// are adopted — carrying their warm matcher memory into this run —
-    /// and the (possibly fresh) rounding engines are handed back with
-    /// the outcome for the next run. Engines that don't bind `p.l` are
-    /// dropped in favour of fresh cold ones; a checkpoint resume
-    /// invalidates adopted warm memory exactly as it does fresh (warm ≡
-    /// cold, so results are bit-identical either way).
-    pub fn run_bp_warm(
-        &self,
-        p: &NetAlignProblem,
-        config: &AlignConfig,
-        warm: Vec<MatcherEngine>,
-    ) -> Result<(AlignOutcome, Vec<MatcherEngine>), HarnessError> {
         let mut engine = BpEngine::new(p, config);
-        if !warm.is_empty() {
-            let _ = engine.adopt_rounding(warm);
-        }
         if let Some(CheckpointState::Bp(state)) = self.resolve_resume(EngineKind::Bp, p, config)? {
             engine.restore_state(state);
         }
@@ -481,7 +460,7 @@ impl RunHarness {
                 }
             }
         };
-        Ok((outcome, engine.release_rounding()))
+        Ok(outcome)
     }
 
     /// Run the matching relaxation under this harness.
@@ -490,21 +469,7 @@ impl RunHarness {
         p: &NetAlignProblem,
         config: &AlignConfig,
     ) -> Result<AlignOutcome, HarnessError> {
-        self.run_mr_warm(p, config, Vec::new()).map(|(o, _)| o)
-    }
-
-    /// [`run_mr`](Self::run_mr) with rounding-engine recycling; see
-    /// [`run_bp_warm`](Self::run_bp_warm) for the contract.
-    pub fn run_mr_warm(
-        &self,
-        p: &NetAlignProblem,
-        config: &AlignConfig,
-        warm: Vec<MatcherEngine>,
-    ) -> Result<(AlignOutcome, Vec<MatcherEngine>), HarnessError> {
         let mut engine = MrEngine::new(p, config);
-        if !warm.is_empty() {
-            let _ = engine.adopt_rounding(warm);
-        }
         if let Some(CheckpointState::Mr(state)) = self.resolve_resume(EngineKind::Mr, p, config)? {
             engine.restore_state(state);
         }
@@ -584,7 +549,7 @@ impl RunHarness {
         let cancel_reason = driver.reason();
         let outcome = match stop {
             None => AlignOutcome {
-                result: engine.finish_in_place(),
+                result: engine.finish(),
                 completion: Completion::Completed,
                 iterations_run: completed,
                 cancel_reason,
@@ -600,7 +565,7 @@ impl RunHarness {
                     });
                 }
                 AlignOutcome {
-                    result: engine.finish_in_place(),
+                    result: engine.finish(),
                     completion: stop.completion,
                     iterations_run: completed,
                     cancel_reason,
@@ -609,27 +574,23 @@ impl RunHarness {
                 }
             }
         };
-        Ok((outcome, engine.release_rounding()))
+        Ok(outcome)
     }
 
     /// Run belief propagation while recording its full per-iteration
     /// trajectory, enabling later [`run_bp_delta`](Self::run_bp_delta)
     /// calls. Recording requires a deterministic, uninterrupted run, so
     /// this path ignores the harness's budget/deadline/checkpoint
-    /// machinery and always completes the full iteration count. `warm`
-    /// matcher engines are adopted exactly as in
-    /// [`run_bp_warm`](Self::run_bp_warm).
+    /// machinery and always completes the full iteration count.
     pub fn run_bp_recorded(
         &self,
         p: &NetAlignProblem,
         config: &AlignConfig,
-        warm: Vec<MatcherEngine>,
-    ) -> Result<(AlignOutcome, BpTrajectory, Vec<MatcherEngine>), HarnessError> {
-        let (result, trajectory, engines) = delta::record_bp(p, config, warm)?;
+    ) -> Result<(AlignOutcome, BpTrajectory), HarnessError> {
+        let (result, trajectory) = delta::record_bp(p, config)?;
         Ok((
             AlignOutcome::completed(result, config.iterations),
             trajectory,
-            engines,
         ))
     }
 
@@ -652,7 +613,7 @@ impl RunHarness {
     /// Re-align an edited instance with the matching relaxation. MR's
     /// subgradient state has no sparse-replay story (every multiplier
     /// couples through the global matching), so this patches the
-    /// problem — reusing the squares matrix — and re-solves warm. The
+    /// problem — reusing the squares matrix — and re-solves it. The
     /// result is trivially bit-identical to a cold run on the patched
     /// instance; the returned problem is the patched one, for chaining.
     pub fn run_mr_delta(
@@ -660,19 +621,17 @@ impl RunHarness {
         p: &NetAlignProblem,
         config: &AlignConfig,
         delta: &ProblemDelta,
-        warm: Vec<MatcherEngine>,
     ) -> Result<
         (
             NetAlignProblem,
             AlignOutcome,
-            Vec<MatcherEngine>,
             crate::squares::SquaresPatchStats,
         ),
         HarnessError,
     > {
         let (patched, stats) = delta::patch_problem(p, delta)?;
-        let (outcome, engines) = self.run_mr_warm(&patched, config, warm)?;
-        Ok((patched, outcome, engines, stats))
+        let outcome = self.run_mr(&patched, config)?;
+        Ok((patched, outcome, stats))
     }
 }
 
@@ -1099,13 +1058,10 @@ mod tests {
             iterations: 10,
             record_history: true,
             rounding: Some(netalign_matching::RoundingMatcher::Ld),
-            warm_start: true,
             ..Default::default()
         };
         let harness = RunHarness::new();
-        let (outcome, trajectory, engines) = harness
-            .run_bp_recorded(&p, &cfg, Vec::new())
-            .expect("recorded run");
+        let (outcome, trajectory) = harness.run_bp_recorded(&p, &cfg).expect("recorded run");
         assert_eq!(outcome.completion, Completion::Completed);
         assert_eq!(trajectory.iterations(), 10);
 
@@ -1118,7 +1074,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut base = DeltaBase::from_parts(p.clone(), cfg, trajectory, engines);
+        let mut base = DeltaBase::from_parts(p.clone(), cfg, trajectory);
         let (replayed, stats) = harness.run_bp_delta(&mut base, &delta).expect("delta run");
         assert!(stats.delta_reused_iterations >= 1);
 
@@ -1130,10 +1086,8 @@ mod tests {
             cold.objective.to_bits()
         );
 
-        // MR delta: patched problem + warm re-solve ≡ cold on patched.
-        let (mr_p, mr_outcome, _, _) = harness
-            .run_mr_delta(&p, &cfg, &delta, Vec::new())
-            .expect("mr delta");
+        // MR delta: patched problem + re-solve ≡ cold on patched.
+        let (mr_p, mr_outcome, _) = harness.run_mr_delta(&p, &cfg, &delta).expect("mr delta");
         let mr_cold = crate::mr::matching_relaxation(&mr_p, &cfg);
         assert_eq!(mr_outcome.result.matching, mr_cold.matching);
         assert_eq!(

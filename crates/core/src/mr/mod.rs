@@ -82,13 +82,11 @@ pub struct MrEngine<'a> {
     spans: RowSpans,
     workspaces: Vec<RowWorkspace>,
     // Engine-mode rounding (config.rounding set): one preallocated
-    // matcher engine per weight stream — w̄ every iteration, plus the
-    // enriched-rounding weights when that option is on — so each warm
-    // start diffs against its own previous vector. `None` in legacy
-    // mode. `eval_marks` is the all-false scratch for the
+    // matcher engine rounds w̄ every iteration, plus the
+    // enriched-rounding weights when that option is on. `None` in
+    // legacy mode. `eval_marks` is the all-false scratch for the
     // allocation-free objective evaluation.
-    rounding_w: Option<MatcherEngine>,
-    rounding_g2: Option<MatcherEngine>,
+    rounding: Option<MatcherEngine>,
     eval_marks: Vec<bool>,
     // Incumbent and step-size control.
     best: Option<(f64, usize)>,
@@ -128,13 +126,7 @@ impl<'a> MrEngine<'a> {
             g2: vec![0.0; if config.enriched_rounding { m } else { 0 }],
             spans,
             workspaces,
-            rounding_w: config
-                .rounding
-                .map(|kind| MatcherEngine::new(&p.l, kind, config.warm_start)),
-            rounding_g2: config
-                .rounding
-                .filter(|_| config.enriched_rounding)
-                .map(|kind| MatcherEngine::new(&p.l, kind, config.warm_start)),
+            rounding: config.rounding.map(|kind| MatcherEngine::new(&p.l, kind)),
             eval_marks: vec![false; if config.rounding.is_some() { m } else { 0 }],
             best: None,
             best_g: vec![0.0; m],
@@ -221,10 +213,10 @@ impl<'a> MrEngine<'a> {
         }
 
         // Step 3: the full matching — exact, approximate, or the
-        // preallocated (optionally warm-started) rounding engine.
+        // preallocated rounding engine.
         let t0 = Instant::now();
         let owned;
-        let matching: &Matching = if let Some(eng) = self.rounding_w.as_mut() {
+        let matching: &Matching = if let Some(eng) = self.rounding.as_mut() {
             eng.run(&p.l, &self.wbar, &self.counters)
         } else {
             owned =
@@ -278,7 +270,7 @@ impl<'a> MrEngine<'a> {
                     *ge = alpha * p.l.weights()[e] + beta * acc;
                 });
             let m2_owned;
-            let m2: &Matching = if let Some(eng) = self.rounding_g2.as_mut() {
+            let m2: &Matching = if let Some(eng) = self.rounding.as_mut() {
                 eng.run(&p.l, &self.g2, &self.counters)
             } else {
                 m2_owned =
@@ -381,22 +373,20 @@ impl<'a> MrEngine<'a> {
     }
 
     /// Degradation-ladder rung 2: route every further matching through
-    /// warm-started lock-free Suitor engines — the cheapest matcher in
-    /// the workspace. A no-op when the engine already matches that way;
-    /// otherwise the replacement engines allocate once (accepted: the
-    /// ladder fires rarely, and shedding matcher cost dominates the
-    /// one-time allocation).
+    /// a lock-free Suitor engine, dropping the legacy allocate-per-call
+    /// path if it was in use. A no-op when the engine already matches
+    /// that way; otherwise the replacement engine allocates once.
+    /// Suitor is not cheaper than LD on every instance, so whether this
+    /// rung saves time is an open question (EXPERIMENTS.md, matcher
+    /// engine section).
     pub fn force_cheap_rounding(&mut self) {
-        fn is_cheap(e: &Option<MatcherEngine>) -> bool {
-            e.as_ref()
-                .is_some_and(|e| e.kind() == RoundingMatcher::Suitor && e.warm())
-        }
         let l = &self.p.l;
-        if !is_cheap(&self.rounding_w) {
-            self.rounding_w = Some(MatcherEngine::new(l, RoundingMatcher::Suitor, true));
-        }
-        if self.config.enriched_rounding && !is_cheap(&self.rounding_g2) {
-            self.rounding_g2 = Some(MatcherEngine::new(l, RoundingMatcher::Suitor, true));
+        if !self
+            .rounding
+            .as_ref()
+            .is_some_and(|e| e.kind() == RoundingMatcher::Suitor)
+        {
+            self.rounding = Some(MatcherEngine::new(l, RoundingMatcher::Suitor));
         }
         let m = l.num_edges();
         if self.eval_marks.len() != m {
@@ -440,58 +430,10 @@ impl<'a> MrEngine<'a> {
         self.history = state.history;
         self.trace.algo = state.algo;
         self.counters.preload(&state.matcher);
-        // The engines' warm memory refers to whatever they matched
-        // before the restore; force their next run cold (warm ≡ cold,
-        // so the resumed run stays bit-identical).
-        if let Some(e) = self.rounding_w.as_mut() {
-            e.invalidate();
-        }
-        if let Some(e) = self.rounding_g2.as_mut() {
-            e.invalidate();
-        }
     }
 
-    /// Hand the engine previously [released](Self::release_rounding)
-    /// rounding engines so their warm memory carries across runs; the
-    /// serving engine cache uses this to warm-start repeat requests on
-    /// the same candidate graph. Order is `[w-rounding, g2-rounding]`
-    /// (the second present only under `enriched_rounding`). Returns
-    /// `false` (keeping the freshly allocated engines) unless the count
-    /// matches the config and every engine still binds this `L`.
-    pub fn adopt_rounding(&mut self, mut engines: Vec<MatcherEngine>) -> bool {
-        let want = match (
-            self.config.rounding.is_some(),
-            self.config.enriched_rounding,
-        ) {
-            (false, _) => 0,
-            (true, false) => 1,
-            (true, true) => 2,
-        };
-        if want == 0 || engines.len() != want || engines.iter().any(|e| !e.binds(&self.p.l)) {
-            return false;
-        }
-        self.rounding_g2 = if want == 2 { engines.pop() } else { None };
-        self.rounding_w = engines.pop();
-        true
-    }
-
-    /// Take the rounding engines — warm memory included — out of the
-    /// engine for reuse by a later run on the same graph, in the order
-    /// [`adopt_rounding`](Self::adopt_rounding) expects. Only valid
-    /// after [`finish_in_place`](Self::finish_in_place); the engine
-    /// must not be stepped afterwards.
-    pub fn release_rounding(&mut self) -> Vec<MatcherEngine> {
-        self.rounding_w
-            .take()
-            .into_iter()
-            .chain(self.rounding_g2.take())
-            .collect()
-    }
-
-    /// Assemble the result from the incumbent, leaving the engine
-    /// hollow but alive so owned components (the rounding engines) can
-    /// still be recovered afterwards.
-    pub fn finish_in_place(&mut self) -> AlignmentResult {
+    /// Assemble the result from the incumbent.
+    pub fn finish(mut self) -> AlignmentResult {
         let history = std::mem::take(&mut self.history);
         let trace = std::mem::take(&mut self.trace);
         let mut best_g = std::mem::take(&mut self.best_g);
@@ -510,11 +452,6 @@ impl<'a> MrEngine<'a> {
         let mut result = finalize(self.p, self.config, best, history, trace, &self.counters);
         result.upper_bound = Some(self.best_upper.max(result.objective));
         result
-    }
-
-    /// Assemble the result from the incumbent.
-    pub fn finish(mut self) -> AlignmentResult {
-        self.finish_in_place()
     }
 }
 
@@ -729,8 +666,8 @@ mod tests {
         assert_eq!(via_wrapper.upper_bound, manual.upper_bound);
     }
 
-    /// The preallocated rounding engine — cold or warm, LD or Suitor,
-    /// with and without enriched rounding — reproduces the legacy
+    /// The preallocated rounding engine — LD or Suitor, with and
+    /// without enriched rounding — reproduces the legacy
     /// `ParallelLocalDominant` run bit-for-bit. MR is the stronger test
     /// of the engines: the matching drives the multiplier update, so
     /// any divergence compounds across iterations.
@@ -752,28 +689,25 @@ mod tests {
             };
             let legacy = matching_relaxation(&p, &legacy_cfg);
             for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
-                for warm in [false, true] {
-                    let cfg = AlignConfig {
-                        rounding: Some(kind),
-                        warm_start: warm,
-                        ..legacy_cfg
-                    };
-                    let r = matching_relaxation(&p, &cfg);
+                let cfg = AlignConfig {
+                    rounding: Some(kind),
+                    ..legacy_cfg
+                };
+                let r = matching_relaxation(&p, &cfg);
+                assert_eq!(
+                    r.objective.to_bits(),
+                    legacy.objective.to_bits(),
+                    "enriched {enriched}, {kind:?}"
+                );
+                assert_eq!(r.matching, legacy.matching);
+                assert_eq!(r.upper_bound, legacy.upper_bound);
+                assert_eq!(r.history.len(), legacy.history.len());
+                for (h, lh) in r.history.iter().zip(&legacy.history) {
+                    assert_eq!(h.objective.to_bits(), lh.objective.to_bits());
                     assert_eq!(
-                        r.objective.to_bits(),
-                        legacy.objective.to_bits(),
-                        "enriched {enriched}, {kind:?}, warm {warm}"
+                        h.upper_bound.unwrap().to_bits(),
+                        lh.upper_bound.unwrap().to_bits()
                     );
-                    assert_eq!(r.matching, legacy.matching);
-                    assert_eq!(r.upper_bound, legacy.upper_bound);
-                    assert_eq!(r.history.len(), legacy.history.len());
-                    for (h, lh) in r.history.iter().zip(&legacy.history) {
-                        assert_eq!(h.objective.to_bits(), lh.objective.to_bits());
-                        assert_eq!(
-                            h.upper_bound.unwrap().to_bits(),
-                            lh.upper_bound.unwrap().to_bits()
-                        );
-                    }
                 }
             }
         }

@@ -251,12 +251,6 @@ impl RunTrace {
                     self.matcher.proposals, self.matcher.displacements,
                 ));
             }
-            if self.matcher.warm_hits > 0 || self.matcher.reseeded_vertices > 0 {
-                out.push_str(&format!(
-                    "warm start: {} vertices reused, {} reseeded\n",
-                    self.matcher.warm_hits, self.matcher.reseeded_vertices,
-                ));
-            }
         }
         if self.algo != AlgoCounters::default() {
             out.push_str(&format!(

@@ -157,7 +157,7 @@ fn steady_state_iterations_do_not_allocate() {
         );
 
         // ---- BP with the preallocated rounding engine (lock-free
-        // Suitor, warm-started): the armed window now INCLUDES the
+        // Suitor): the armed window now INCLUDES the
         // batched rounding flushes — zero allocations through matching
         // and objective evaluation as well.
         let cfg = AlignConfig {
@@ -165,7 +165,6 @@ fn steady_state_iterations_do_not_allocate() {
             batch: 4,
             matcher: MatcherKind::ParallelLocalDominant,
             rounding: Some(RoundingMatcher::Suitor),
-            warm_start: true,
             ..Default::default()
         };
         let mut engine = BpEngine::new(&p, &cfg);
@@ -192,14 +191,13 @@ fn steady_state_iterations_do_not_allocate() {
         let result = engine.finish();
         assert!(result.matching.cardinality() > 0);
 
-        // ---- MR with the engine (warm LD): the full step — row
+        // ---- MR with the engine (LD): the full step — row
         // matchings, the driving bipartite matching, bounds, multiplier
         // update — is armed.
         let cfg = AlignConfig {
             iterations: 40,
             matcher: MatcherKind::ParallelLocalDominant,
             rounding: Some(RoundingMatcher::Ld),
-            warm_start: true,
             ..Default::default()
         };
         let mut engine = MrEngine::new(&p, &cfg);

@@ -35,7 +35,6 @@ fn cfg(iterations: usize, batch: usize) -> AlignConfig {
         iterations,
         batch,
         rounding: Some(RoundingMatcher::Ld),
-        warm_start: true,
         record_history: true,
         ..Default::default()
     }

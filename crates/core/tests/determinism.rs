@@ -72,11 +72,10 @@ fn bp_is_bit_identical_across_pool_sizes() {
     }
 }
 
-/// Engine-mode rounding (preallocated matcher, lock-free Suitor, warm
-/// starts) holds the same contract: the packed-CAS slots converge to a
-/// schedule-independent fixed point and the warm-start reseeding rule
-/// is a function of the weight diff only, so every pool size produces
-/// the same bits.
+/// Engine-mode rounding (preallocated matcher, lock-free Suitor) holds
+/// the same contract: the packed-CAS slots converge to a
+/// schedule-independent fixed point, so every pool size produces the
+/// same bits.
 #[test]
 fn bp_engine_rounding_is_bit_identical_across_pool_sizes() {
     let p = problem();
@@ -85,7 +84,6 @@ fn bp_engine_rounding_is_bit_identical_across_pool_sizes() {
         batch: 4,
         matcher: MatcherKind::ParallelLocalDominant,
         rounding: Some(RoundingMatcher::Suitor),
-        warm_start: true,
         record_history: true,
         ..Default::default()
     };
@@ -103,7 +101,6 @@ fn mr_engine_rounding_is_bit_identical_across_pool_sizes() {
         iterations: 20,
         matcher: MatcherKind::ParallelLocalDominant,
         rounding: Some(RoundingMatcher::Ld),
-        warm_start: true,
         enriched_rounding: true,
         record_history: true,
         ..Default::default()

@@ -105,9 +105,9 @@ fn ooc_is_bit_identical_to_in_core_across_pools() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Engine-mode rounding (warm Suitor) through the out-of-core sweeps
-/// also matches — rounding only ever sees m-sized iterates, but the
-/// warm-start diffing is sensitive to any bit drift upstream.
+/// Engine-mode rounding (Suitor) through the out-of-core sweeps also
+/// matches — rounding only ever sees m-sized iterates, and any bit
+/// drift upstream would change which matching it picks.
 #[test]
 fn ooc_engine_rounding_matches_in_core() {
     let (a, b, l) = dense_instance(12);
@@ -115,7 +115,6 @@ fn ooc_engine_rounding_matches_in_core() {
         iterations: 8,
         matcher: MatcherKind::ParallelSuitor,
         rounding: Some(RoundingMatcher::Suitor),
-        warm_start: true,
         record_history: true,
         ..Default::default()
     };

@@ -413,15 +413,14 @@ fn truncated_checkpoint_write_is_rejected_with_typed_error() {
 fn resume_from_deadline_cut_checkpoint_is_bit_identical() {
     let _guard = faults::test_lock();
     let p = problem();
-    // Warm-started rounding: the resume leg must invalidate the matcher
-    // engine's warm memory exactly like a mid-run restore does.
+    // Engine-mode rounding: the resume leg runs on a freshly built
+    // matcher engine, exactly like a mid-run restore.
     let cfg = AlignConfig {
         iterations: 16,
         batch: 3,
         record_history: true,
         matcher: MatcherKind::ParallelLocalDominant,
         rounding: Some(RoundingMatcher::Ld),
-        warm_start: true,
         ..Default::default()
     };
     let base = pool(4).install(|| belief_propagation(&p, &cfg));
@@ -451,9 +450,7 @@ fn resume_from_deadline_cut_checkpoint_is_bit_identical() {
     assert!(cut.ends_with(checkpoint::checkpoint_file_name(EngineKind::Bp, 7)));
 
     // Resuming from the cut (with a larger budget) must replay
-    // iterations 8..16 exactly as the uninterrupted run — including the
-    // matcher warm memory, which the restore invalidates like any
-    // mid-run checkpoint restore.
+    // iterations 8..16 exactly as the uninterrupted run.
     let resumed = pool(4)
         .install(|| RunHarness::new().with_resume_from(&cut).run_bp(&p, &cfg))
         .expect("resume from deadline cut")

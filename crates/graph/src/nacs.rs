@@ -124,8 +124,8 @@ impl From<io::Error> for NacsError {
 // FNV-1a 64
 // ---------------------------------------------------------------------
 
-/// Streaming FNV-1a 64-bit hasher (same family the checkpoint format
-/// uses; dependency-free and fast enough to stream at I/O speed).
+/// Streaming FNV-1a 64-bit hasher, the one FNV implementation in the
+/// workspace (dependency-free and fast enough to stream at I/O speed).
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);
 
@@ -148,6 +148,11 @@ impl Fnv64 {
         self.0 = h;
     }
 
+    /// Fold one `u64` word into the hash as its little-endian bytes.
+    pub fn update_u64(&mut self, v: u64) {
+        self.update(&v.to_le_bytes());
+    }
+
     /// The current hash value.
     pub fn finish(self) -> u64 {
         self.0
@@ -160,7 +165,9 @@ impl Default for Fnv64 {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
+/// One-shot FNV-1a 64 of `bytes`: the checksum and fingerprint hash of
+/// every on-disk format and cache key in the workspace.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.update(bytes);
     h.finish()
@@ -408,7 +415,7 @@ impl NacsWriter {
             hdr[base + 8..base + 16].copy_from_slice(&len.to_le_bytes());
             hdr[base + 16..base + 24].copy_from_slice(&sum.to_le_bytes());
         }
-        let hsum = fnv64(&hdr[..HEADER_HASHED]);
+        let hsum = fnv1a64(&hdr[..HEADER_HASHED]);
         hdr[HEADER_HASHED..HEADER_HASHED + 8].copy_from_slice(&hsum.to_le_bytes());
 
         let mut out = self.out.take().unwrap();
@@ -473,7 +480,7 @@ fn parse_header(hdr: &[u8; HEADER_LEN]) -> Result<Header, NacsError> {
         return Err(NacsError::Format("endian probe mismatch".into()));
     }
     let stored = rd64(HEADER_HASHED);
-    if fnv64(&hdr[..HEADER_HASHED]) != stored {
+    if fnv1a64(&hdr[..HEADER_HASHED]) != stored {
         return Err(NacsError::Checksum("header"));
     }
     // The reserved tail of the header sits outside the checksummed
@@ -1004,8 +1011,8 @@ mod tests {
     #[test]
     fn fnv_matches_reference_vectors() {
         // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

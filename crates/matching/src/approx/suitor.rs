@@ -56,10 +56,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 pub(crate) const EMPTY_SLOT: u64 = 0;
 /// Low half of a packed slot: the proposer id.
 pub(crate) const PROPOSER_MASK: u64 = 0xffff_ffff;
-/// Score reserved by the warm-started engine for frozen pairs carried
-/// over from the previous run: real scores are bounded by the maximum
-/// degree (< `u32::MAX`), so a frozen slot can never be displaced.
-pub(crate) const FROZEN_SCORE: u32 = u32::MAX;
 
 /// Serial Suitor algorithm.
 pub fn serial_suitor(l: &BipartiteGraph, weights: &[f64]) -> Matching {
@@ -194,16 +190,6 @@ impl SuitorWorkspace {
                     fill_scores(v, na, seg, score_left, score_right);
                 }
             });
-    }
-
-    /// Re-sort the segment of a single vertex and refill its scores
-    /// (the warm path touches only the endpoints of changed edges).
-    pub fn resort_vertex(&mut self, l: &BipartiteGraph, weights: &[f64], v: VertexId) {
-        let na = l.num_left();
-        let (s, e) = (self.seg_start[v as usize], self.seg_start[v as usize + 1]);
-        let seg = &mut self.order[s..e];
-        sort_one_segment(l, weights, v, na, seg);
-        fill_scores(v, na, seg, &self.score_left, &self.score_right);
     }
 }
 

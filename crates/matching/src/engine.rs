@@ -1,22 +1,17 @@
-//! [`MatcherEngine`] — the preallocated, warm-startable rounding
-//! matcher that both aligner engines call once per rounding step.
+//! [`MatcherEngine`] — the preallocated rounding matcher that both
+//! aligner engines call once per rounding step.
 //!
 //! The aligners of `netalign-core` round a *sequence* of weight vectors
 //! over one fixed graph `L`. The free functions of [`crate::approx`]
 //! treat every call as independent: they allocate a fresh working set
 //! (mate/candidate/queue/reprocess arrays or proposal slots) and start
-//! from nothing. This engine amortizes both costs:
-//!
-//! * **Zero steady-state allocation** — every array the matcher touches
-//!   is sized once in [`MatcherEngine::new`] and recycled across calls,
-//!   extending the persistent-pool guarantee of the iteration kernels
-//!   through the rounding step (asserted by the counting allocator in
-//!   `crates/core/tests/alloc_free.rs`).
-//! * **Warm starts** — consecutive weight vectors differ little once an
-//!   aligner begins to converge. A warm engine keeps the previous mate
-//!   state and reprocesses only what a weight change can actually
-//!   affect (the rule below), with `warm_hits` / `reseeded_vertices`
-//!   counters quantifying the savings.
+//! from nothing. This engine sizes every array the matcher touches once
+//! in [`MatcherEngine::new`] and recycles it across calls, extending the
+//! persistent-pool guarantee of the iteration kernels through the
+//! rounding step: steady-state calls perform no heap allocation
+//! (asserted by the counting allocator in
+//! `crates/core/tests/alloc_free.rs`). Every call is a cold run of the
+//! chosen matcher on the given weights.
 //!
 //! # Determinism of the packed-CAS Suitor slot
 //!
@@ -34,48 +29,15 @@
 //! at any pool size, matching the queue-based LD matcher. (Suitor
 //! *event counters* — proposals, displacements, lost races — remain
 //! schedule-dependent; the determinism tests exclude them.)
-//!
-//! # The warm-start invalidation rule
-//!
-//! A warm engine remembers, per run: the weight vector, the edge ids
-//! sorted by the total order, each edge's rank, and the rank at which
-//! each vertex's pair was decided. On the next run it diffs the new
-//! weights bit-for-bit and computes
-//!
-//! ```text
-//! r* = min over changed edges e of
-//!        min( old rank of e,  insertion rank of e's new key in the old order )
-//! ```
-//!
-//! The first `r*` entries of the *new* sorted order provably equal the
-//! first `r*` of the old one (no changed edge can enter the prefix, and
-//! unchanged edges cannot reorder among themselves), so every pair
-//! decided before rank `r*` is decided identically by a cold run on the
-//! new weights: those vertices are *kept* (frozen), everything else —
-//! including every unmatched vertex — is *reseeded* and re-run through
-//! the matcher. The residual run is the greedy remainder of the same
-//! total order, so warm results are bit-identical to cold ones at every
-//! pool size (asserted by the equivalence tests).
-//!
-//! Invalidation: the diff is taken against the engine's **own** last
-//! weight vector, so feeding any weight sequence over the *same* graph
-//! is always correct — stale state degrades only performance, never the
-//! result. The one hard rule is that the graph must not change between
-//! runs (shapes are asserted). Callers that restore checkpoints or
-//! otherwise rewind time should call [`MatcherEngine::invalidate`] to
-//! force the next run cold, which both aligner engines do in
-//! `restore_state`.
 
 use crate::approx::parallel_ld::{find_mate, ld_phase2, match_vertex, LdState, NEVER, UNSET};
-use crate::approx::suitor::{
-    extract_mates_into, propose_chain, SuitorWorkspace, EMPTY_SLOT, FROZEN_SCORE,
-};
-use crate::approx::{degree_grains, unified_edge_gt, UnifiedView};
+use crate::approx::suitor::{extract_mates_into, propose_chain, SuitorWorkspace, EMPTY_SLOT};
+use crate::approx::{degree_grains, UnifiedView};
 use crate::matching::{Matching, UNMATCHED};
 use netalign_graph::{BipartiteGraph, VertexId};
 use netalign_trace::MatcherCounters;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Which ½-approximate matcher the engine runs per rounding call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -88,44 +50,14 @@ pub enum RoundingMatcher {
     Suitor,
 }
 
-/// FNV-1a fingerprint of a bipartite graph's *structure*: shape plus
-/// the endpoint list in the global edge order. Weights are deliberately
-/// excluded — a [`MatcherEngine`] matches arbitrary weight vectors over
-/// one fixed structure, so two `L`s with equal structure but different
-/// weights are interchangeable bindings.
-pub fn graph_fingerprint(l: &BipartiteGraph) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(l.num_left() as u64);
-    eat(l.num_right() as u64);
-    eat(l.num_edges() as u64);
-    for e in 0..l.num_edges() {
-        let (a, b) = l.endpoints(e);
-        eat(a as u64);
-        eat(b as u64);
-    }
-    h
-}
-
-/// Preallocated, optionally warm-started rounding matcher for one fixed
-/// graph `L`. See the module docs for the determinism and invalidation
-/// arguments.
+/// Preallocated rounding matcher for one fixed graph `L`. See the
+/// module docs for the determinism argument.
 pub struct MatcherEngine {
     kind: RoundingMatcher,
-    warm: bool,
     na: usize,
     nb: usize,
     m: usize,
     n: usize,
-    /// Structure fingerprint of the graph the engine is bound to (see
-    /// [`graph_fingerprint`]); lets owners that move engines between
-    /// runs (the serving engine cache) verify the binding in O(1).
-    graph_fp: u64,
 
     // Degree-aware grains over the unified vertex set (data-dependent
     // only — never pool-dependent), balancing adjacency entries so
@@ -134,31 +66,18 @@ pub struct MatcherEngine {
     entry_bounds: Vec<usize>,
 
     // Queue-based LD working set (kind == Ld).
-    mate: Vec<std::sync::atomic::AtomicU32>,
-    candidate: Vec<std::sync::atomic::AtomicU32>,
-    q_cur: Vec<std::sync::atomic::AtomicU32>,
-    q_next: Vec<std::sync::atomic::AtomicU32>,
+    mate: Vec<AtomicU32>,
+    candidate: Vec<AtomicU32>,
+    q_cur: Vec<AtomicU32>,
+    q_next: Vec<AtomicU32>,
     tail_cur: AtomicUsize,
     tail_next: AtomicUsize,
-    reprocess: Vec<std::sync::atomic::AtomicU32>,
+    reprocess: Vec<AtomicU32>,
     reprocess_tail: AtomicUsize,
-    claimed: Vec<std::sync::atomic::AtomicU32>,
+    claimed: Vec<AtomicU32>,
 
     // Lock-free Suitor working set (kind == Suitor).
     suitor: Option<SuitorWorkspace>,
-
-    // Warm-start memory (warm == true): see the module docs.
-    prev_weights: Vec<f64>,
-    sorted_edges: Vec<u32>,
-    sorted_scratch: Vec<u32>,
-    rank_of_edge: Vec<u32>,
-    decided_at: Vec<u32>,
-    changed: Vec<u32>,
-    changed_mark: Vec<bool>,
-    touched: Vec<u32>,
-    touched_mark: Vec<bool>,
-    reseed: Vec<u32>,
-    warm_valid: bool,
 
     // Recycled output.
     mate_plain: Vec<VertexId>,
@@ -166,10 +85,8 @@ pub struct MatcherEngine {
 }
 
 impl MatcherEngine {
-    /// Size every buffer for `l`. `warm` additionally allocates the
-    /// order/rank memory that warm starts diff against; a cold engine
-    /// skips it entirely.
-    pub fn new(l: &BipartiteGraph, kind: RoundingMatcher, warm: bool) -> Self {
+    /// Size every buffer for `l`.
+    pub fn new(l: &BipartiteGraph, kind: RoundingMatcher) -> Self {
         let na = l.num_left();
         let nb = l.num_right();
         let m = l.num_edges();
@@ -179,44 +96,29 @@ impl MatcherEngine {
             "vertex count must fit the u32 mate/slot encoding"
         );
         let (vertex_bounds, entry_bounds) = degree_grains(l);
-        let graph_fp = graph_fingerprint(l);
         let ld = kind == RoundingMatcher::Ld;
-        let atoms = |len: usize, v: u32| {
-            (0..len)
-                .map(|_| std::sync::atomic::AtomicU32::new(v))
-                .collect::<Vec<_>>()
+        let atoms = |v: u32| {
+            let len = if ld { n } else { 0 };
+            (0..len).map(|_| AtomicU32::new(v)).collect::<Vec<_>>()
         };
         MatcherEngine {
             kind,
-            warm,
             na,
             nb,
             m,
             n,
-            graph_fp,
             vertex_bounds,
             entry_bounds,
-            mate: if ld { atoms(n, UNMATCHED) } else { Vec::new() },
-            candidate: if ld { atoms(n, UNSET) } else { Vec::new() },
-            q_cur: if ld { atoms(n, UNMATCHED) } else { Vec::new() },
-            q_next: if ld { atoms(n, UNMATCHED) } else { Vec::new() },
+            mate: atoms(UNMATCHED),
+            candidate: atoms(UNSET),
+            q_cur: atoms(UNMATCHED),
+            q_next: atoms(UNMATCHED),
             tail_cur: AtomicUsize::new(0),
             tail_next: AtomicUsize::new(0),
-            reprocess: if ld { atoms(n, UNMATCHED) } else { Vec::new() },
+            reprocess: atoms(UNMATCHED),
             reprocess_tail: AtomicUsize::new(0),
-            claimed: if ld { atoms(n, NEVER) } else { Vec::new() },
+            claimed: atoms(NEVER),
             suitor: (!ld).then(|| SuitorWorkspace::new(l)),
-            prev_weights: vec![0.0; if warm { m } else { 0 }],
-            sorted_edges: vec![0u32; if warm { m } else { 0 }],
-            sorted_scratch: vec![0u32; if warm { m } else { 0 }],
-            rank_of_edge: vec![0u32; if warm { m } else { 0 }],
-            decided_at: vec![u32::MAX; if warm { n } else { 0 }],
-            changed: Vec::with_capacity(if warm { m } else { 0 }),
-            changed_mark: vec![false; if warm { m } else { 0 }],
-            touched: Vec::with_capacity(if warm && !ld { n } else { 0 }),
-            touched_mark: vec![false; if warm && !ld { n } else { 0 }],
-            reseed: Vec::with_capacity(if warm { n } else { 0 }),
-            warm_valid: false,
             mate_plain: vec![UNMATCHED; n],
             out: Matching::empty(na, nb),
         }
@@ -225,58 +127,6 @@ impl MatcherEngine {
     /// The matcher variant this engine runs.
     pub fn kind(&self) -> RoundingMatcher {
         self.kind
-    }
-
-    /// Whether warm starts are enabled.
-    pub fn warm(&self) -> bool {
-        self.warm
-    }
-
-    /// Force the next [`MatcherEngine::run`] cold. Correctness never
-    /// requires this — the engine diffs against its own last weights —
-    /// but callers that rewind state (checkpoint restore) should drop
-    /// the stale warm memory rather than pay a useless full diff.
-    pub fn invalidate(&mut self) {
-        self.warm_valid = false;
-    }
-
-    /// Structure fingerprint of the graph this engine was built for.
-    /// Owners that carry engines across runs (the serving engine cache,
-    /// adoption into a fresh aligner engine) compare this against
-    /// [`graph_fingerprint`] of their graph to prove the binding in
-    /// O(1) instead of re-hashing per call.
-    pub fn bound_fingerprint(&self) -> u64 {
-        self.graph_fp
-    }
-
-    /// True when this engine can round weight vectors over `l`:
-    /// identical shape *and* identical edge structure (fingerprint).
-    pub fn binds(&self, l: &BipartiteGraph) -> bool {
-        self.na == l.num_left()
-            && self.nb == l.num_right()
-            && self.m == l.num_edges()
-            && self.graph_fp == graph_fingerprint(l)
-    }
-
-    /// Return the engine to its post-construction state: warm memory
-    /// invalidated and the recycled output cleared, with every buffer
-    /// kept allocated. A reset engine's next [`MatcherEngine::run`] is
-    /// a cold pass and therefore bit-identical to a freshly built
-    /// engine's first run — the contract the engine-cache reset path in
-    /// `netalignd` is gated on (pinned by the `engine_cache` tests).
-    pub fn reset(&mut self) {
-        self.warm_valid = false;
-        for slot in &mut self.mate_plain {
-            *slot = UNMATCHED;
-        }
-        self.out = Matching::empty(self.na, self.nb);
-        if self.warm {
-            for d in &mut self.decided_at {
-                *d = u32::MAX;
-            }
-            self.changed.clear();
-            self.reseed.clear();
-        }
     }
 
     /// Compute the ½-approximate matching of `weights` on `l` — the
@@ -292,100 +142,15 @@ impl MatcherEngine {
         assert_eq!(l.num_right(), self.nb, "engine is bound to one graph");
         assert_eq!(l.num_edges(), self.m, "engine is bound to one graph");
         assert_eq!(weights.len(), self.m);
-
-        if self.warm && self.warm_valid {
-            if !self.detect_changes(weights) {
-                // Identical weights: the previous output *is* the
-                // answer; every vertex's state is reused.
-                counters.add_warm_hits(self.n as u64);
-                return &self.out;
-            }
-            let r_star = self.prefix_rank(l, weights);
-            let kept = self.build_reseed(r_star);
-            counters.add_warm_hits(kept);
-            counters.add_reseeded_vertices(self.reseed.len() as u64);
-            match self.kind {
-                RoundingMatcher::Ld => self.run_ld_warm(l, weights, counters),
-                RoundingMatcher::Suitor => self.run_suitor_warm(l, weights, counters),
-            }
-            self.maintain_order_warm(l, weights, r_star);
-            self.update_decided_warm(l);
-            // Unchanged entries are bit-identical by definition of the
-            // diff; refreshing just the changed ones keeps the
-            // bookkeeping cost proportional to the change, not to `m`.
-            for &e in &self.changed {
-                self.prev_weights[e as usize] = weights[e as usize];
-            }
-        } else {
-            match self.kind {
-                RoundingMatcher::Ld => self.run_ld_cold(l, weights, counters),
-                RoundingMatcher::Suitor => self.run_suitor_cold(l, weights, counters),
-            }
-            if self.warm {
-                self.maintain_order_cold(l, weights);
-                self.update_decided_cold(l);
-                self.prev_weights.copy_from_slice(weights);
-            }
+        match self.kind {
+            RoundingMatcher::Ld => self.run_ld(l, weights, counters),
+            RoundingMatcher::Suitor => self.run_suitor(l, weights, counters),
         }
-        self.warm_valid = self.warm;
         self.out.refill_from_unified(self.na, &self.mate_plain);
         &self.out
     }
 
-    // ---- change detection & the r* prefix rule --------------------
-
-    /// Bit-exact diff of `weights` against the previous run, into the
-    /// recycled `changed` list. Returns whether anything changed.
-    fn detect_changes(&mut self, weights: &[f64]) -> bool {
-        self.changed.clear();
-        for (e, (w, pw)) in weights.iter().zip(&self.prev_weights).enumerate() {
-            if w.to_bits() != pw.to_bits() {
-                self.changed.push(e as u32);
-            }
-        }
-        !self.changed.is_empty()
-    }
-
-    /// `r*` of the module docs: the longest prefix of the old sorted
-    /// order guaranteed to survive in the new one.
-    fn prefix_rank(&self, l: &BipartiteGraph, weights: &[f64]) -> usize {
-        let na = self.na as VertexId;
-        let mut r = self.m;
-        for &e in &self.changed {
-            let r_old = self.rank_of_edge[e as usize] as usize;
-            let (ae, be) = l.endpoints(e as usize);
-            let (be_u, w_new) = (na + be, weights[e as usize]);
-            // Old-order entries whose *old* key beats e's *new* key:
-            // monotone along the descending order, so partition_point
-            // finds the insertion rank.
-            let ins = self.sorted_edges.partition_point(|&f| {
-                let (af, bf) = l.endpoints(f as usize);
-                unified_edge_gt(self.prev_weights[f as usize], af, na + bf, w_new, ae, be_u)
-            });
-            r = r.min(r_old).min(ins);
-        }
-        r
-    }
-
-    /// Split vertices into kept (pair decided before `r_star`) and
-    /// reseeded (everything else, including all unmatched vertices).
-    /// Returns the kept count; fills the recycled `reseed` list.
-    fn build_reseed(&mut self, r_star: usize) -> u64 {
-        self.reseed.clear();
-        let mut kept = 0u64;
-        for (v, &d) in self.decided_at.iter().enumerate() {
-            if (d as usize) < r_star {
-                kept += 1;
-            } else {
-                self.reseed.push(v as u32);
-            }
-        }
-        kept
-    }
-
-    // ---- queue-based LD paths -------------------------------------
-
-    fn run_ld_cold(&mut self, l: &BipartiteGraph, weights: &[f64], counters: &MatcherCounters) {
+    fn run_ld(&mut self, l: &BipartiteGraph, weights: &[f64], counters: &MatcherCounters) {
         let view = UnifiedView::new(l, weights);
         let vb = &self.vertex_bounds;
         let grains = vb.len() - 1;
@@ -413,39 +178,6 @@ impl MatcherEngine {
                 match_vertex(&view, v, mate, candidate, q_cur, tail_cur, counters);
             }
         });
-        self.ld_phase2_and_extract(&view, counters);
-    }
-
-    fn run_ld_warm(&mut self, l: &BipartiteGraph, weights: &[f64], counters: &MatcherCounters) {
-        let view = UnifiedView::new(l, weights);
-        let (mate, candidate, claimed) = (&self.mate, &self.candidate, &self.claimed);
-        // Kept vertices retain their mate entries from the previous
-        // run; they are never collected (the phase-2 sweep skips
-        // matched vertices), so their stale candidate/claimed slots are
-        // never read. Reseeded slots must be fully reset — in
-        // particular `claimed`, because the round counter restarts at 0
-        // every run and a stale round number would defeat the dedup.
-        self.reseed.par_iter().with_min_len(256).for_each(|&v| {
-            mate[v as usize].store(UNMATCHED, Ordering::Relaxed);
-            candidate[v as usize].store(UNSET, Ordering::Relaxed);
-            claimed[v as usize].store(NEVER, Ordering::Relaxed);
-        });
-        self.tail_cur.store(0, Ordering::Relaxed);
-        self.tail_next.store(0, Ordering::Relaxed);
-        self.reprocess_tail.store(0, Ordering::Relaxed);
-
-        counters.add_find_mate_initial(self.reseed.len() as u64);
-        self.reseed.par_iter().with_min_len(64).for_each(|&v| {
-            candidate[v as usize].store(find_mate(&view, v, mate), Ordering::SeqCst);
-        });
-        let (q_cur, tail_cur) = (&self.q_cur, &self.tail_cur);
-        self.reseed.par_iter().with_min_len(64).for_each(|&v| {
-            match_vertex(&view, v, mate, candidate, q_cur, tail_cur, counters);
-        });
-        self.ld_phase2_and_extract(&view, counters);
-    }
-
-    fn ld_phase2_and_extract(&mut self, view: &UnifiedView<'_>, counters: &MatcherCounters) {
         let st = LdState {
             mate: &self.mate,
             candidate: &self.candidate,
@@ -457,15 +189,13 @@ impl MatcherEngine {
             reprocess_tail: &self.reprocess_tail,
             claimed: &self.claimed,
         };
-        ld_phase2(view, &st, counters);
+        ld_phase2(&view, &st, counters);
         for (v, out) in self.mate_plain.iter_mut().enumerate() {
             *out = self.mate[v].load(Ordering::Acquire);
         }
     }
 
-    // ---- lock-free Suitor paths -----------------------------------
-
-    fn run_suitor_cold(&mut self, l: &BipartiteGraph, weights: &[f64], counters: &MatcherCounters) {
+    fn run_suitor(&mut self, l: &BipartiteGraph, weights: &[f64], counters: &MatcherCounters) {
         let ws = self.suitor.as_mut().expect("suitor workspace");
         ws.sort_segments(l, weights, &self.vertex_bounds, &self.entry_bounds);
         ws.slots
@@ -482,190 +212,6 @@ impl MatcherEngine {
         });
         extract_mates_into(slots, &mut self.mate_plain);
     }
-
-    fn run_suitor_warm(&mut self, l: &BipartiteGraph, weights: &[f64], counters: &MatcherCounters) {
-        // Only segments incident to a changed edge can have stale order
-        // or scores; every other segment is bit-identical under the new
-        // weights.
-        self.touched.clear();
-        for &e in &self.changed {
-            let (a, b) = l.endpoints(e as usize);
-            for v in [a as usize, self.na + b as usize] {
-                if !self.touched_mark[v] {
-                    self.touched_mark[v] = true;
-                    self.touched.push(v as u32);
-                }
-            }
-        }
-        let ws = self.suitor.as_mut().expect("suitor workspace");
-        for &v in &self.touched {
-            ws.resort_vertex(l, weights, v);
-        }
-        for &v in &self.touched {
-            self.touched_mark[v as usize] = false;
-        }
-        // Kept pairs freeze at an undisplaceable score; reseeded slots
-        // open empty. Proposals from reseeded vertices to kept ones are
-        // rejected by the monotone pre-check, exactly as if the kept
-        // vertices were matched in a cold run's history.
-        for (v, s) in ws.slots.iter().enumerate() {
-            s.store(
-                ((FROZEN_SCORE as u64) << 32) | self.mate_plain[v] as u64,
-                Ordering::Relaxed,
-            );
-        }
-        for &v in &self.reseed {
-            ws.slots[v as usize].store(EMPTY_SLOT, Ordering::Relaxed);
-        }
-        let (slots, sl, sr) = (&ws.slots, &ws.score_left, &ws.score_right);
-        self.reseed.par_iter().with_min_len(64).for_each(|&v| {
-            propose_chain(l, weights, slots, sl, sr, v, counters);
-        });
-        extract_mates_into(slots, &mut self.mate_plain);
-    }
-
-    // ---- warm-start order maintenance -----------------------------
-
-    /// Full re-sort of the edge order (after a cold run in warm mode).
-    fn maintain_order_cold(&mut self, l: &BipartiteGraph, weights: &[f64]) {
-        let na = self.na as VertexId;
-        for (i, e) in self.sorted_edges.iter_mut().enumerate() {
-            *e = i as u32;
-        }
-        self.sorted_edges.sort_unstable_by(|&x, &y| {
-            if edge_gt(l, weights, na, x, y) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
-        for (r, &e) in self.sorted_edges.iter().enumerate() {
-            self.rank_of_edge[e as usize] = r as u32;
-        }
-    }
-
-    /// Incremental re-sort: by construction of `r_star` the first
-    /// `r_star` entries of the old order survive verbatim, and every
-    /// changed edge sits in the suffix of both the old and the new
-    /// order (its old rank and its insertion rank are both `>= r_star`).
-    /// So only the suffix is merged: the old suffix with the changed
-    /// entries skipped against the (few) changed edges sorted by their
-    /// new keys. Unchanged edges keep bit-identical weights, so one
-    /// comparison under the *new* weights orders both streams. Cost is
-    /// `O(m - r_star)`, not `O(m)`.
-    fn maintain_order_warm(&mut self, l: &BipartiteGraph, weights: &[f64], r_star: usize) {
-        let na = self.na as VertexId;
-        let Self {
-            sorted_edges,
-            sorted_scratch,
-            changed,
-            changed_mark,
-            rank_of_edge,
-            m,
-            ..
-        } = self;
-        changed.sort_unstable_by(|&x, &y| {
-            if edge_gt(l, weights, na, x, y) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
-        for &e in changed.iter() {
-            changed_mark[e as usize] = true;
-        }
-        let (mut i, mut j) = (r_star, 0usize);
-        for slot in sorted_scratch[r_star..].iter_mut() {
-            while i < *m && changed_mark[sorted_edges[i] as usize] {
-                i += 1;
-            }
-            let take_old = if i >= *m {
-                false
-            } else if j >= changed.len() {
-                true
-            } else {
-                edge_gt(l, weights, na, sorted_edges[i], changed[j])
-            };
-            *slot = if take_old {
-                i += 1;
-                sorted_edges[i - 1]
-            } else {
-                j += 1;
-                changed[j - 1]
-            };
-        }
-        sorted_edges[r_star..].copy_from_slice(&sorted_scratch[r_star..]);
-        for &e in changed.iter() {
-            changed_mark[e as usize] = false;
-        }
-        for (off, &e) in sorted_edges[r_star..].iter().enumerate() {
-            rank_of_edge[e as usize] = (r_star + off) as u32;
-        }
-    }
-
-    /// Record the order rank at which each vertex's pair was decided
-    /// (`u32::MAX` for unmatched vertices) — the kept/reseeded split of
-    /// the next warm run. Full sweep, used after cold runs.
-    fn update_decided_cold(&mut self, l: &BipartiteGraph) {
-        self.decided_at.fill(u32::MAX);
-        for a in 0..self.na {
-            let mb = self.mate_plain[a];
-            if mb == UNMATCHED {
-                continue;
-            }
-            let b = mb - self.na as VertexId;
-            let e = l
-                .edge_id(a as VertexId, b)
-                .expect("matched pair must be an L edge");
-            let r = self.rank_of_edge[e];
-            self.decided_at[a] = r;
-            self.decided_at[self.na + b as usize] = r;
-        }
-    }
-
-    /// Warm variant of the decided-rank bookkeeping. Kept pairs were
-    /// decided inside the stable prefix, whose entries (and therefore
-    /// ranks) are unchanged, and a reseeded vertex can only pair with
-    /// another reseeded vertex (kept ones stay frozen to their mates) —
-    /// so only the reseeded entries need rewriting: `O(|reseed|)`.
-    fn update_decided_warm(&mut self, l: &BipartiteGraph) {
-        for &v in &self.reseed {
-            self.decided_at[v as usize] = u32::MAX;
-        }
-        let na = self.na as VertexId;
-        for &v in &self.reseed {
-            let a = v as usize;
-            if a >= self.na {
-                continue;
-            }
-            let mb = self.mate_plain[a];
-            if mb == UNMATCHED {
-                continue;
-            }
-            let b = mb - na;
-            let e = l
-                .edge_id(a as VertexId, b)
-                .expect("matched pair must be an L edge");
-            let r = self.rank_of_edge[e];
-            self.decided_at[a] = r;
-            self.decided_at[na as usize + b as usize] = r;
-        }
-    }
-}
-
-/// Total-order comparison of two edges by global id under `weights`.
-#[inline]
-fn edge_gt(l: &BipartiteGraph, weights: &[f64], na: VertexId, x: u32, y: u32) -> bool {
-    let (ax, bx) = l.endpoints(x as usize);
-    let (ay, by) = l.endpoints(y as usize);
-    unified_edge_gt(
-        weights[x as usize],
-        ax,
-        na + bx,
-        weights[y as usize],
-        ay,
-        na + by,
-    )
 }
 
 #[cfg(test)]
@@ -724,8 +270,8 @@ mod tests {
     fn cold_engine_matches_free_functions() {
         for seed in 0..12 {
             let l = random_l(seed, 35, 32, 0.2, seed % 2 == 0);
-            let mut ld = MatcherEngine::new(&l, RoundingMatcher::Ld, false);
-            let mut su = MatcherEngine::new(&l, RoundingMatcher::Suitor, false);
+            let mut ld = MatcherEngine::new(&l, RoundingMatcher::Ld);
+            let mut su = MatcherEngine::new(&l, RoundingMatcher::Suitor);
             let c = MatcherCounters::disabled();
             let reference = serial_local_dominant(&l, l.weights());
             assert_eq!(*ld.run(&l, l.weights(), c), reference, "seed {seed}");
@@ -751,84 +297,58 @@ mod tests {
             &legacy,
         );
         let engine = MatcherCounters::new(true);
-        let mut eng = MatcherEngine::new(&l, RoundingMatcher::Ld, false);
+        let mut eng = MatcherEngine::new(&l, RoundingMatcher::Ld);
         let _ = eng.run(&l, l.weights(), &engine);
         assert_eq!(engine.snapshot(), legacy.snapshot());
     }
 
+    /// One engine reused over a weight sequence — recycled buffers,
+    /// stale state from the previous call — matches the oracle on
+    /// every step and emits the same counter stream as a fresh engine.
+    /// One worker thread fixes the schedule, so Suitor's race counters
+    /// are comparable too.
     #[test]
-    fn warm_equals_cold_over_sequences() {
-        for seed in 0..6 {
-            let l = random_l(300 + seed, 40, 38, 0.18, seed % 2 == 0);
-            let seq = weight_sequence(&l, 900 + seed, 10);
-            for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
-                let mut warm = MatcherEngine::new(&l, kind, true);
-                let mut cold = MatcherEngine::new(&l, kind, false);
-                let c = MatcherCounters::disabled();
-                for (step, w) in seq.iter().enumerate() {
-                    let got = warm.run(&l, w, c).clone();
-                    let want = cold.run(&l, w, c).clone();
-                    assert_eq!(got, want, "kind {kind:?} seed {seed} step {step}");
-                    assert_eq!(got, serial_local_dominant(&l, w));
+    fn reused_engine_matches_oracle_over_sequences() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            for seed in 0..6 {
+                let l = random_l(300 + seed, 40, 38, 0.18, seed % 2 == 0);
+                let seq = weight_sequence(&l, 900 + seed, 10);
+                for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
+                    let mut eng = MatcherEngine::new(&l, kind);
+                    for (step, w) in seq.iter().enumerate() {
+                        let reused = MatcherCounters::new(true);
+                        assert_eq!(
+                            *eng.run(&l, w, &reused),
+                            serial_local_dominant(&l, w),
+                            "kind {kind:?} seed {seed} step {step}"
+                        );
+                        let fresh = MatcherCounters::new(true);
+                        let _ = MatcherEngine::new(&l, kind).run(&l, w, &fresh);
+                        assert_eq!(
+                            reused.snapshot(),
+                            fresh.snapshot(),
+                            "counters: kind {kind:?} seed {seed} step {step}"
+                        );
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
-    fn warm_counters_report_reuse() {
-        let l = random_l(5, 60, 60, 0.15, false);
-        let mut eng = MatcherEngine::new(&l, RoundingMatcher::Ld, true);
-        let n = (l.num_left() + l.num_right()) as u64;
-        let c0 = MatcherCounters::new(true);
-        let _ = eng.run(&l, l.weights(), &c0);
-        assert_eq!(c0.snapshot().warm_hits, 0, "first run is cold");
-
-        // Unchanged weights: everything is reused.
-        let c1 = MatcherCounters::new(true);
-        let _ = eng.run(&l, l.weights(), &c1);
-        assert_eq!(c1.snapshot().warm_hits, n);
-        assert_eq!(c1.snapshot().reseeded_vertices, 0);
-
-        // Perturb one light edge: most decided pairs survive.
-        let mut w = l.weights().to_vec();
-        let lightest = (0..l.num_edges())
-            .min_by(|&x, &y| w[x].total_cmp(&w[y]))
-            .unwrap();
-        w[lightest] += 1e-9;
-        let c2 = MatcherCounters::new(true);
-        let _ = eng.run(&l, &w, &c2);
-        let s = c2.snapshot();
-        assert!(s.warm_hits > 0, "sparse change must reuse some vertices");
-        assert!(s.reseeded_vertices > 0, "the changed edge reseeds");
-        assert_eq!(s.warm_hits % 2, 0, "kept vertices come in pairs");
-    }
-
-    #[test]
-    fn invalidate_forces_cold_and_same_result() {
-        let l = random_l(9, 30, 30, 0.25, true);
-        let seq = weight_sequence(&l, 4, 4);
-        let mut a = MatcherEngine::new(&l, RoundingMatcher::Suitor, true);
-        let mut b = MatcherEngine::new(&l, RoundingMatcher::Suitor, true);
-        let c = MatcherCounters::disabled();
-        for w in &seq {
-            let ra = a.run(&l, w, c).clone();
-            b.invalidate();
-            let rb = b.run(&l, w, c).clone();
-            assert_eq!(ra, rb);
-        }
-    }
-
-    #[test]
-    fn warm_handles_all_negative_and_empty() {
+    fn handles_all_negative_and_empty() {
         let l = BipartiteGraph::from_entries(2, 2, vec![(0, 0, -1.0), (1, 1, -2.0)]);
-        let mut eng = MatcherEngine::new(&l, RoundingMatcher::Ld, true);
+        let mut eng = MatcherEngine::new(&l, RoundingMatcher::Ld);
         let c = MatcherCounters::disabled();
         assert_eq!(eng.run(&l, l.weights(), c).cardinality(), 0);
         let w = vec![3.0, -2.0];
         assert_eq!(eng.run(&l, &w, c).cardinality(), 1);
         let empty = BipartiteGraph::from_entries(3, 2, Vec::<(u32, u32, f64)>::new());
-        let mut e2 = MatcherEngine::new(&empty, RoundingMatcher::Suitor, true);
+        let mut e2 = MatcherEngine::new(&empty, RoundingMatcher::Suitor);
         assert_eq!(e2.run(&empty, empty.weights(), c).cardinality(), 0);
         assert_eq!(e2.run(&empty, empty.weights(), c).cardinality(), 0);
     }

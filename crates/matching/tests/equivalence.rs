@@ -6,7 +6,7 @@
 //! the lock-free parallel Suitor — must return bit-identical results at
 //! every thread count. Property tests drive random graphs (zero and
 //! negative weights included) through all five, plus the preallocated
-//! engine in cold and warm mode, at pools {1, 2, 4, 8}.
+//! engine reused over weight sequences, at pools {1, 2, 4, 8}.
 
 use netalign_graph::BipartiteGraph;
 use netalign_matching::approx::{
@@ -141,72 +141,27 @@ proptest! {
         }
     }
 
-    /// Warm-started engines are bit-identical to cold ones — and to the
-    /// serial oracle — at every pool size, for both matcher kinds, over
-    /// weight sequences with sparse changes.
+    /// One engine per kind, reused over a weight sequence, is
+    /// bit-identical to the serial oracle at every pool size.
     #[test]
-    fn warm_engine_equals_cold_across_pools((l, seq) in arb_instance_and_sequence()) {
+    fn engine_equals_oracle_across_pools((l, seq) in arb_instance_and_sequence()) {
         // Serial oracle per step, computed once.
         let oracle: Vec<Matching> =
             seq.iter().map(|w| serial_local_dominant(&l, w)).collect();
         for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
             for threads in POOLS {
                 pool(threads).install(|| {
-                    let mut warm = MatcherEngine::new(&l, kind, true);
-                    let mut cold = MatcherEngine::new(&l, kind, false);
+                    let mut eng = MatcherEngine::new(&l, kind);
                     let c = MatcherCounters::disabled();
                     for (step, w) in seq.iter().enumerate() {
-                        let got = warm.run(&l, w, c).clone();
+                        let got = eng.run(&l, w, c).clone();
                         prop_assert_eq!(
                             &got, &oracle[step],
-                            "warm {:?} at {} threads, step {}", kind, threads, step
-                        );
-                        let cold_got = cold.run(&l, w, c).clone();
-                        prop_assert_eq!(
-                            &cold_got, &oracle[step],
-                            "cold {:?} at {} threads, step {}", kind, threads, step
+                            "{:?} at {} threads, step {}", kind, threads, step
                         );
                     }
                 });
             }
         }
-    }
-}
-
-/// Deterministic counters (`warm_hits` / `reseeded_vertices` and the
-/// queue-based LD events) are identical at every pool size; only the
-/// Suitor race counters may vary with the schedule.
-#[test]
-fn warm_counters_are_pool_independent() {
-    let l = BipartiteGraph::from_entries(
-        4,
-        4,
-        vec![
-            (0, 0, 5.0),
-            (0, 1, 1.0),
-            (1, 1, 4.0),
-            (1, 2, 2.0),
-            (2, 2, 3.0),
-            (2, 3, 1.5),
-            (3, 3, 2.5),
-        ],
-    );
-    let mut w2 = l.weights().to_vec();
-    w2[5] = 1.75; // perturb (2,3): light edge, deep in the order
-    let mut base: Option<(u64, u64)> = None;
-    for threads in POOLS {
-        pool(threads).install(|| {
-            let mut eng = MatcherEngine::new(&l, RoundingMatcher::Ld, true);
-            let c0 = MatcherCounters::new(true);
-            let _ = eng.run(&l, l.weights(), &c0);
-            let c1 = MatcherCounters::new(true);
-            let _ = eng.run(&l, &w2, &c1);
-            let s = c1.snapshot();
-            assert!(s.warm_hits > 0);
-            match base {
-                None => base = Some((s.warm_hits, s.reseeded_vertices)),
-                Some(b) => assert_eq!((s.warm_hits, s.reseeded_vertices), b),
-            }
-        });
     }
 }

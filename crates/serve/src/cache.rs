@@ -1,13 +1,11 @@
-//! The warm engine cache: LRU over problem fingerprints.
+//! The engine cache: LRU over problem fingerprints.
 //!
 //! An entry owns everything expensive that a repeat request would
 //! otherwise rebuild: the [`NetAlignProblem`] (whose squares matrix
-//! `S` dominates cold-start cost), the validated [`AlignConfig`], and
-//! the released rounding [`MatcherEngine`]s with their warm matcher
-//! memory. The aligner engines themselves (`BpEngine`/`MrEngine`)
-//! borrow the problem and are rebuilt per run — their allocation is
-//! cheap next to `S` — and *adopt* the cached matcher engines, which
-//! carries the PR-4 warm-start machinery across requests.
+//! `S` dominates cold-start cost) and the validated [`AlignConfig`].
+//! The aligner engines themselves (`BpEngine`/`MrEngine`, each with
+//! its rounding matcher engine) borrow the problem and are rebuilt per
+//! run — their allocation is cheap next to `S`.
 //!
 //! The cache is owned by the single solver thread, so it needs no
 //! locking; all concurrency control happens at admission.
@@ -16,21 +14,17 @@ use crate::fingerprint::Method;
 use netalign_core::config::AlignConfig;
 use netalign_core::delta::BpTrajectory;
 use netalign_core::problem::NetAlignProblem;
-use netalign_matching::MatcherEngine;
 
-/// One cached problem with its warm rounding engines.
+/// One cached problem.
 pub struct CacheEntry {
     /// The cache key (graphs + method + config fingerprint).
     pub fingerprint: u64,
-    /// Aligner this entry's engines were shaped for.
+    /// Aligner this entry was built for.
     pub method: Method,
     /// The fully built problem (`A`, `B`, `L`, `S`).
     pub problem: NetAlignProblem,
     /// The validated config the fingerprint committed to.
     pub config: AlignConfig,
-    /// Rounding engines released by the last run on this problem,
-    /// warm memory included. Empty while a run is in flight.
-    pub engines: Vec<MatcherEngine>,
     /// Recorded BP trajectory, present after an `align` with
     /// `record: true` — the base an `align_delta` replays against.
     pub trajectory: Option<BpTrajectory>,
@@ -132,7 +126,6 @@ impl EngineCache {
         method: Method,
         problem: NetAlignProblem,
         config: AlignConfig,
-        engines: Vec<MatcherEngine>,
     ) -> Option<u64> {
         self.tick += 1;
         debug_assert!(
@@ -147,14 +140,7 @@ impl EngineCache {
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
                 .expect("cache is non-empty when full");
-            let mut old = self.entries.swap_remove(idx);
-            // Gate on the reset contract (pinned by the engine-cache
-            // unit tests): an engine leaving the cache must never carry
-            // warm memory forward, so even a logic error that resurrects
-            // this entry's engines replays the cold path bit-exactly.
-            for e in &mut old.engines {
-                e.reset();
-            }
+            let old = self.entries.swap_remove(idx);
             self.evictions += 1;
             evicted = Some(old.fingerprint);
         }
@@ -163,7 +149,6 @@ impl EngineCache {
             method,
             problem,
             config,
-            engines,
             trajectory: None,
             uses: 1,
             last_used: self.tick,
@@ -174,7 +159,7 @@ impl EngineCache {
     /// Re-key an entry after a delta patched its problem in place: the
     /// entry now answers to the *patched* graphs' fingerprint. Any
     /// stale entry already cached under the new key is evicted first
-    /// (the re-keyed entry carries the fresher engines/trajectory).
+    /// (the re-keyed entry carries the fresher engine/trajectory).
     /// Returns false when `old` is not cached.
     pub fn rekey(&mut self, old: u64, new: u64) -> bool {
         if old == new {
@@ -184,10 +169,7 @@ impl EngineCache {
             return false;
         }
         if let Some(idx) = self.entries.iter().position(|e| e.fingerprint == new) {
-            let mut stale = self.entries.swap_remove(idx);
-            for e in &mut stale.engines {
-                e.reset();
-            }
+            self.entries.swap_remove(idx);
             self.evictions += 1;
         }
         let entry = self
@@ -216,11 +198,11 @@ mod tests {
     fn lru_evicts_the_coldest_entry() {
         let mut c = EngineCache::new(2);
         let cfg = AlignConfig::default();
-        assert_eq!(c.insert(1, Method::Bp, tiny_problem(1), cfg, vec![]), None);
-        assert_eq!(c.insert(2, Method::Bp, tiny_problem(2), cfg, vec![]), None);
+        assert_eq!(c.insert(1, Method::Bp, tiny_problem(1), cfg), None);
+        assert_eq!(c.insert(2, Method::Bp, tiny_problem(2), cfg), None);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(c.get_mut(1).is_some());
-        let evicted = c.insert(3, Method::Bp, tiny_problem(3), cfg, vec![]);
+        let evicted = c.insert(3, Method::Bp, tiny_problem(3), cfg);
         assert_eq!(evicted, Some(2));
         assert!(c.get_mut(1).is_some());
         assert!(c.get_mut(2).is_none());
@@ -234,8 +216,8 @@ mod tests {
     fn rekey_moves_an_entry_and_evicts_a_stale_target() {
         let mut c = EngineCache::new(4);
         let cfg = AlignConfig::default();
-        c.insert(1, Method::Bp, tiny_problem(1), cfg, vec![]);
-        c.insert(2, Method::Bp, tiny_problem(2), cfg, vec![]);
+        c.insert(1, Method::Bp, tiny_problem(1), cfg);
+        c.insert(2, Method::Bp, tiny_problem(2), cfg);
         assert!(c.rekey(1, 9));
         assert!(c.get_mut(9).is_some());
         assert!(c.get_mut(1).is_none());
@@ -253,8 +235,8 @@ mod tests {
         let mut c = EngineCache::new(0);
         let cfg = AlignConfig::default();
         assert_eq!(c.capacity(), 1);
-        c.insert(1, Method::Bp, tiny_problem(1), cfg, vec![]);
-        c.insert(2, Method::Bp, tiny_problem(2), cfg, vec![]);
+        c.insert(1, Method::Bp, tiny_problem(1), cfg);
+        c.insert(2, Method::Bp, tiny_problem(2), cfg);
         assert_eq!(c.len(), 1);
     }
 }

@@ -7,13 +7,14 @@
 //!   entry, holding everything a [`crate::cache::CacheEntry`] needs to
 //!   answer `align_delta` again: the full [`AlignConfig`], the graphs
 //!   `A`/`B`/`L`, and the recorded [`BpTrajectory`]. The squares
-//!   matrix and the warm matcher engines are deliberately *not*
-//!   spilled: `NetAlignProblem::new` rebuilds `S` bit-identically from
-//!   the canonical graphs, and warm ≡ cold engine bit-identity (the
-//!   engine-cache invariant) licenses rebooting with empty engine
-//!   vectors. Same framing discipline as `NACP` checkpoints: magic,
-//!   version, FNV-1a checksum over the payload, atomic
-//!   tmp+fsync+rename+dir-fsync.
+//!   matrix and the rounding engine are deliberately *not* spilled:
+//!   `NetAlignProblem::new` rebuilds `S` bit-identically from the
+//!   canonical graphs, and the engine holds only scratch buffers, so
+//!   a rebooted entry simply builds a fresh one. Same framing
+//!   discipline as `NACP` checkpoints: magic, version, FNV-1a checksum
+//!   over the payload, atomic tmp+fsync+rename+dir-fsync. Version 2
+//!   dropped the config byte of the removed warm start option;
+//!   version-1 files fail to load with a version error.
 //!
 //! * **The journal** (`journal.log`) — an append-only, per-record
 //!   checksummed log of admitted `align --record` / `align_delta`
@@ -46,7 +47,7 @@ use std::path::{Path, PathBuf};
 /// Spill-file magic (`NACP`'s sibling: NetAlign SPill).
 const SPILL_MAGIC: [u8; 4] = *b"NASP";
 /// Spill format version.
-const SPILL_VERSION: u32 = 1;
+const SPILL_VERSION: u32 = 2;
 /// Journal record magic (NetAlign JournaL).
 const JOURNAL_MAGIC: [u8; 4] = *b"NAJL";
 /// Fixed journal record header: magic + kind + seq + payload_len +
@@ -101,8 +102,9 @@ pub struct RecoveryReport {
     pub journal_torn_discarded: u64,
     /// `begin` records with no matching `commit` (in-flight at crash).
     pub incomplete_discarded: u64,
-    /// Live spill files that failed to load (corrupt, missing, or
-    /// fingerprint drift); each is skipped, never half-loaded.
+    /// Live spill files that failed to load (corrupt, missing, another
+    /// format version, or fingerprint drift); each is skipped, never
+    /// half-loaded.
     pub spill_load_errors: u64,
     /// The fingerprints the journal committed, in commit order, before
     /// any spill loading — the exact prefix a damaged journal yields
@@ -629,7 +631,6 @@ fn put_config(w: &mut PayloadWriter, c: &AlignConfig) {
     w.put_u8(c.final_exact_round as u8);
     w.put_u8(c.record_history as u8);
     w.put_u8(c.trace_matcher as u8);
-    w.put_u8(c.warm_start as u8);
     w.put_u8(c.numeric_guards as u8);
     w.put_usize(c.checkpoint.every_k_iters);
     w.put_f64(c.checkpoint.every_secs);
@@ -683,7 +684,6 @@ fn get_config(r: &mut PayloadReader<'_>) -> Result<AlignConfig, String> {
     let final_exact_round = get_bool(r, "config.final_exact_round")?;
     let record_history = get_bool(r, "config.record_history")?;
     let trace_matcher = get_bool(r, "config.trace_matcher")?;
-    let warm_start = get_bool(r, "config.warm_start")?;
     let numeric_guards = get_bool(r, "config.numeric_guards")?;
     let every_k_iters = r.get_usize("config.checkpoint.every_k_iters")?;
     let every_secs = r.get_f64("config.checkpoint.every_secs")?;
@@ -701,7 +701,6 @@ fn get_config(r: &mut PayloadReader<'_>) -> Result<AlignConfig, String> {
         record_history,
         trace_matcher,
         rounding,
-        warm_start,
         numeric_guards,
         checkpoint: CheckpointPolicy {
             every_k_iters,
@@ -813,13 +812,12 @@ mod tests {
         }
     }
 
-    fn recorded_base() -> (u64, NetAlignProblem, AlignConfig, BpTrajectory) {
-        let (a, b, l) = problem(1);
+    fn recorded_base(seed: u64) -> (u64, NetAlignProblem, AlignConfig, BpTrajectory) {
+        let (a, b, l) = problem(seed);
         let config = config();
         let fp = problem_fingerprint(&a, &b, &l, Method::Bp, &config);
         let p = NetAlignProblem::new(a, b, l);
-        let (_, trajectory, _) =
-            netalign_core::delta::record_bp(&p, &config, Vec::new()).expect("record");
+        let (_, trajectory) = netalign_core::delta::record_bp(&p, &config).expect("record");
         (fp, p, config, trajectory)
     }
 
@@ -831,7 +829,7 @@ mod tests {
         assert_eq!(report.journal_replayed, 0);
         assert!(entries.is_empty());
 
-        let (fp, problem, config, trajectory) = recorded_base();
+        let (fp, problem, config, trajectory) = recorded_base(1);
         store
             .spill(fp, Method::Bp, &problem, &config, Some(&trajectory))
             .expect("spill");
@@ -854,7 +852,7 @@ mod tests {
     fn recovered_base_replays_deltas_bit_identically_to_uncrashed() {
         let dir = std::env::temp_dir().join(format!("nasp-replay-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (fp, problem, config, trajectory) = recorded_base();
+        let (fp, problem, config, trajectory) = recorded_base(1);
 
         // Control: delta applied to the in-memory base.
         let delta = ProblemDelta {
@@ -865,8 +863,7 @@ mod tests {
             ..Default::default()
         };
         let control = {
-            let mut base =
-                DeltaBase::from_parts(problem.clone(), config, trajectory.clone(), Vec::new());
+            let mut base = DeltaBase::from_parts(problem.clone(), config, trajectory.clone());
             let (result, _) = base.apply(&delta).expect("control delta");
             result.objective
         };
@@ -891,7 +888,6 @@ mod tests {
             entry.problem,
             entry.config,
             entry.trajectory.expect("trajectory"),
-            Vec::new(),
         );
         let (result, _) = base.apply(&delta).expect("recovered delta");
         assert_eq!(
@@ -899,6 +895,45 @@ mod tests {
             control.to_bits(),
             "post-recovery delta must be bit-identical to the uncrashed control"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A spill from an older format version fails with a version
+    /// error, counts as a load error, and the other committed entries
+    /// still recover.
+    #[test]
+    fn version_one_spill_is_rejected_and_recovery_goes_on() {
+        let dir = std::env::temp_dir().join(format!("nasp-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let old = recorded_base(1);
+        let kept = recorded_base(2);
+        assert_ne!(old.0, kept.0, "test needs distinct fingerprints");
+        {
+            let (mut store, _, _) = DurableStore::open(&dir, 1 << 20).expect("open");
+            for (fp, problem, config, trajectory) in [&old, &kept] {
+                store.begin_record(*fp).expect("begin");
+                store
+                    .spill(*fp, Method::Bp, problem, config, Some(trajectory))
+                    .expect("spill");
+                store.commit_record(*fp).expect("commit");
+            }
+        }
+        // Stamp the first spill as version 1 (bytes 4..8 after magic).
+        let path = spill_path(&dir, old.0);
+        let mut bytes = std::fs::read(&path).expect("read spill");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite spill");
+        let err = load_spill(&path, old.0)
+            .err()
+            .expect("version 1 must not load");
+        assert!(err.contains("spill version 1"), "{err}");
+
+        let (store, report, entries) = DurableStore::open(&dir, 1 << 20).expect("reopen");
+        assert_eq!(report.journal_replayed, 2);
+        assert_eq!(report.spill_load_errors, 1);
+        assert_eq!(store.live(), &[kept.0]);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].fingerprint, kept.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

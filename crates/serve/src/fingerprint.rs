@@ -11,14 +11,13 @@
 //! that list the same edges in different orders collide — exactly what
 //! a cache wants — while any added/removed edge, changed weight bit,
 //! or changed config knob produces a different key. 64-bit FNV-1a is
-//! not collision-proof against adversaries; the solver therefore never
-//! trusts the key alone — adopted engines re-verify their graph
-//! binding (`MatcherEngine::binds`) and the cache stores the full
-//! problem, so a collision costs a rebuild, never a wrong answer.
+//! not collision-proof against adversaries: the cache trusts the key,
+//! so two colliding problems would share one cached entry.
 
 use netalign_core::checkpoint::config_fingerprint;
 use netalign_core::config::AlignConfig;
 use netalign_graph::bipartite::BipartiteGraph;
+use netalign_graph::nacs::Fnv64;
 use netalign_graph::undirected::Graph;
 
 /// Aligner selector carried by each request.
@@ -49,35 +48,20 @@ impl Method {
     }
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Canonical structure hash of an undirected graph: vertex count plus
 /// the sorted edge set (each edge normalized to `(min, max)`).
 pub fn graph_structure_fingerprint(g: &Graph) -> u64 {
     let mut edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u.min(v), u.max(v))).collect();
     edges.sort_unstable();
     edges.dedup();
-    let mut h = Fnv::new();
-    h.eat(g.num_vertices() as u64);
-    h.eat(edges.len() as u64);
+    let mut h = Fnv64::new();
+    h.update_u64(g.num_vertices() as u64);
+    h.update_u64(edges.len() as u64);
     for (u, v) in edges {
-        h.eat(u as u64);
-        h.eat(v as u64);
+        h.update_u64(u as u64);
+        h.update_u64(v as u64);
     }
-    h.0
+    h.finish()
 }
 
 /// Canonical hash of the weighted candidate graph `L`: shape plus the
@@ -90,16 +74,16 @@ pub fn candidate_fingerprint(l: &BipartiteGraph) -> u64 {
         })
         .collect();
     entries.sort_unstable();
-    let mut h = Fnv::new();
-    h.eat(l.num_left() as u64);
-    h.eat(l.num_right() as u64);
-    h.eat(entries.len() as u64);
+    let mut h = Fnv64::new();
+    h.update_u64(l.num_left() as u64);
+    h.update_u64(l.num_right() as u64);
+    h.update_u64(entries.len() as u64);
     for (a, b, w) in entries {
-        h.eat(a as u64);
-        h.eat(b as u64);
-        h.eat(w);
+        h.update_u64(a as u64);
+        h.update_u64(b as u64);
+        h.update_u64(w);
     }
-    h.0
+    h.finish()
 }
 
 /// The full cache key: both graphs, `L`, the method, and the
@@ -111,16 +95,16 @@ pub fn problem_fingerprint(
     method: Method,
     config: &AlignConfig,
 ) -> u64 {
-    let mut h = Fnv::new();
-    h.eat(match method {
+    let mut h = Fnv64::new();
+    h.update_u64(match method {
         Method::Bp => 0xb9,
         Method::Mr => 0x34,
     });
-    h.eat(graph_structure_fingerprint(a));
-    h.eat(graph_structure_fingerprint(b));
-    h.eat(candidate_fingerprint(l));
-    h.eat(config_fingerprint(config));
-    h.0
+    h.update_u64(graph_structure_fingerprint(a));
+    h.update_u64(graph_structure_fingerprint(b));
+    h.update_u64(candidate_fingerprint(l));
+    h.update_u64(config_fingerprint(config));
+    h.finish()
 }
 
 /// Render a fingerprint the way the protocol carries it.

@@ -5,7 +5,7 @@
 //!
 //! - **Engine cache** ([`cache`]): problems are fingerprinted
 //!   ([`fingerprint`]) and kept resident — repeat requests skip the
-//!   squares-matrix build and adopt warm matcher engines.
+//!   squares-matrix build.
 //! - **Per-request SLOs** ([`server`]): each request's `deadline_ms`
 //!   (measured from admission, queue wait included) maps onto the
 //!   existing [`netalign_core::config::TimeBudget`] / watchdog /

@@ -1,7 +1,6 @@
 //! Server-wide observability: request/error counters, cache and queue
-//! gauges, latency histograms (service-level, plus warm/cold solve),
-//! and aggregated matcher counters — exported as one JSON document by
-//! the `metrics` op.
+//! gauges and latency histograms (service-level, plus cache-hit/miss
+//! solve) — exported as one JSON document by the `metrics` op.
 
 use netalign_trace::metrics::LatencyHistogram;
 use netalign_trace::Json;
@@ -40,10 +39,6 @@ pub struct ServerMetrics {
     pub queue_depth: AtomicU64,
     /// Connections currently open.
     pub connections: AtomicU64,
-    /// Matcher warm hits summed over all align runs.
-    pub matcher_warm_hits: AtomicU64,
-    /// Matcher reseeded vertices summed over all align runs.
-    pub matcher_reseeded: AtomicU64,
     /// Runs that ended `deadline-best-so-far`.
     pub deadline_best_so_far: AtomicU64,
     /// 200 `align_delta` replies.
@@ -100,8 +95,6 @@ impl ServerMetrics {
             cache_entries: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            matcher_warm_hits: AtomicU64::new(0),
-            matcher_reseeded: AtomicU64::new(0),
             deadline_best_so_far: AtomicU64::new(0),
             delta_served: AtomicU64::new(0),
             delta_rejected: AtomicU64::new(0),
@@ -172,13 +165,6 @@ impl ServerMetrics {
                 ]),
             ),
             ("connections", load(&self.connections)),
-            (
-                "matcher",
-                Json::obj(vec![
-                    ("warm_hits", load(&self.matcher_warm_hits)),
-                    ("reseeded_vertices", load(&self.matcher_reseeded)),
-                ]),
-            ),
             ("deadline_best_so_far", load(&self.deadline_best_so_far)),
             (
                 "delta",

@@ -17,11 +17,10 @@
 //! {"op":"shutdown"}
 //! {"op":"align", "id":"r-1", "method":"bp"|"mr",
 //!  "deadline_ms":500,              // optional SLO, includes queue wait
-//!  "cold":true,                    // optional: bypass warm engine reuse
 //!  "record":true,                  // optional: record a delta base (bp only)
 //!  "config":{"alpha":1.0,"beta":2.0,"gamma":0.99,"iterations":100,
 //!            "batch":1,"mstep":10,"rounding":"ld"|"suitor",
-//!            "warm_start":true,"enriched_rounding":false,
+//!            "enriched_rounding":false,
 //!            "final_exact_round":false},   // all optional
 //!  "a":{"n":5,"edges":[[0,1],[1,2]]},
 //!  "b":{"n":5,"edges":[[0,1]]},
@@ -60,9 +59,9 @@
 //!
 //! An `align` 200 reply carries the outcome: `completion`
 //! (`"completed"`, `"deadline-best-so-far"`, `"cancelled"`), `warm`
-//! (whether the engine cache supplied the problem), `fingerprint`,
-//! `recorded` (whether a delta base was captured), objective/weight/
-//! overlap, the matching as `[[a,b],...]`, matcher counters, and
+//! (whether the engine cache already held the built problem),
+//! `fingerprint`, `recorded` (whether a delta base was captured),
+//! objective/weight/overlap, the matching as `[[a,b],...]`, and
 //! queue/solve timings in milliseconds.
 //!
 //! An `align_delta` 200 reply carries the same outcome fields plus
@@ -141,9 +140,6 @@ pub struct AlignRequest {
     /// SLO in milliseconds, measured from admission (includes queue
     /// wait). `None` = unbounded.
     pub deadline_ms: Option<u64>,
-    /// Bypass warm engine reuse even on a cache hit (the cached
-    /// engines are `reset()` so the solve replays the cold path).
-    pub cold: bool,
     /// Record the BP trajectory so later `align_delta` requests can
     /// replay against this run. BP only (422 otherwise at parse).
     pub record: bool,
@@ -260,12 +256,6 @@ fn parse_align(doc: &Json) -> Result<AlignRequest, RequestError> {
                 RequestError::invalid("deadline_ms must be a non-negative integer")
             })?),
         };
-    let cold = match doc.get("cold") {
-        None | Some(Json::Null) => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| RequestError::invalid("cold must be a boolean"))?,
-    };
     let record = match doc.get("record") {
         None | Some(Json::Null) => false,
         Some(v) => v
@@ -287,7 +277,6 @@ fn parse_align(doc: &Json) -> Result<AlignRequest, RequestError> {
         method,
         config,
         deadline_ms,
-        cold,
         record,
         a,
         b,
@@ -418,14 +407,12 @@ fn parse_candidate_delta(value: Option<&Json>) -> Result<CandidateDelta, Request
     Ok(d)
 }
 
-/// Server-side config defaults: engine-mode warm rounding with matcher
-/// tracing on (cheap, and the service reports the counters), history
-/// off.
+/// Server-side config defaults: engine-mode LD rounding with matcher
+/// tracing on (cheap), history off.
 pub fn default_config() -> AlignConfig {
     AlignConfig {
         iterations: 50,
         rounding: Some(RoundingMatcher::Ld),
-        warm_start: true,
         trace_matcher: true,
         record_history: false,
         ..AlignConfig::default()
@@ -449,7 +436,6 @@ fn parse_config(value: Option<&Json>) -> Result<AlignConfig, RequestError> {
             "iterations" => c.iterations = num_usize(v, "config.iterations")?,
             "batch" => c.batch = num_usize(v, "config.batch")?,
             "mstep" => c.mstep = num_usize(v, "config.mstep")?,
-            "warm_start" => c.warm_start = boolean(v, "config.warm_start")?,
             "enriched_rounding" => c.enriched_rounding = boolean(v, "config.enriched_rounding")?,
             "final_exact_round" => c.final_exact_round = boolean(v, "config.final_exact_round")?,
             "rounding" => {
@@ -488,9 +474,6 @@ fn parse_config(value: Option<&Json>) -> Result<AlignConfig, RequestError> {
     }
     if c.batch == 0 || c.mstep == 0 {
         return Err(RequestError::invalid("batch and mstep must be at least 1"));
-    }
-    if c.warm_start && c.rounding.is_none() {
-        return Err(RequestError::invalid("warm_start requires rounding"));
     }
     Ok(c)
 }
@@ -640,16 +623,6 @@ fn outcome_fields(outcome: &AlignOutcome) -> Vec<(&'static str, Json)> {
         ("upper_bound", r.upper_bound.map_or(Json::Null, Json::F64)),
         ("cardinality", Json::U64(r.matching.cardinality() as u64)),
         ("matching", Json::Arr(matching)),
-        (
-            "matcher",
-            Json::obj(vec![
-                ("warm_hits", Json::U64(r.trace.matcher.warm_hits)),
-                (
-                    "reseeded_vertices",
-                    Json::U64(r.trace.matcher.reseeded_vertices),
-                ),
-            ]),
-        ),
     ]
 }
 
@@ -811,7 +784,11 @@ mod tests {
         };
         assert_eq!(req.method, Method::Bp);
         assert_eq!(req.config.iterations, 4);
-        assert!(req.config.warm_start, "server default");
+        assert_eq!(
+            req.config.rounding,
+            Some(RoundingMatcher::Ld),
+            "server default"
+        );
         assert_eq!(req.l.num_edges(), 3);
         assert_ne!(req.fingerprint, 0);
     }
@@ -831,6 +808,11 @@ mod tests {
         let bad = align_doc().replace("\"bp\"", "\"simplex\"");
         let e = parse_request(bad.as_bytes()).unwrap_err();
         assert_eq!(e.code, CODE_INVALID);
+        // A removed option is rejected, never silently ignored.
+        let bad = align_doc().replace("\"iterations\":4", "\"iterations\":4,\"warm_start\":true");
+        let e = parse_request(bad.as_bytes()).unwrap_err();
+        assert_eq!(e.code, CODE_INVALID);
+        assert!(e.message.contains("unknown config field"), "{}", e.message);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! keys its token registry on the runtime's per-thread cancel scope,
 //! so concurrent harness runs in one process no longer observe each
 //! other's deadlines. What still wants a single owner is the engine
-//! cache — `align_delta` patches entries in place and each run
-//! borrows an entry's warm engines exclusively, which one solver
+//! cache — `align_delta` patches entries in place, which one solver
 //! thread gets for free with no locking or entry pinning.
 //! Parallelism lives where the paper puts it — inside each solve, on
 //! the persistent worker pool — and at the service edge, where
@@ -547,13 +546,7 @@ fn recover_durable(shared: &Shared, cache: &mut EngineCache) -> Option<DurableSt
     m.spill_load_errors
         .fetch_add(report.spill_load_errors, Ordering::Relaxed);
     for entry in entries {
-        cache.insert(
-            entry.fingerprint,
-            entry.method,
-            entry.problem,
-            entry.config,
-            Vec::new(),
-        );
+        cache.insert(entry.fingerprint, entry.method, entry.problem, entry.config);
         if let Some(cached) = cache.peek_mut(entry.fingerprint) {
             cached.trajectory = entry.trajectory;
         }
@@ -647,17 +640,14 @@ fn run_aligned(
     let solve_start = Instant::now();
 
     // Cache probe. A miss pays the full problem build (squares matrix
-    // included) and caches it; a hit reuses problem + warm engines.
+    // included) and caches it; a hit reuses the built problem.
     let hit = cache.get_mut(fp).is_some();
     if hit {
         ServerMetrics::bump(&shared.metrics.cache_hits);
     } else {
         ServerMetrics::bump(&shared.metrics.cache_misses);
         let problem = NetAlignProblem::new(req.a.clone(), req.b.clone(), req.l.clone());
-        if cache
-            .insert(fp, req.method, problem, req.config, Vec::new())
-            .is_some()
-        {
+        if cache.insert(fp, req.method, problem, req.config).is_some() {
             ServerMetrics::bump(&shared.metrics.cache_evictions);
         }
     }
@@ -667,15 +657,6 @@ fn run_aligned(
         .store(cache.len() as u64, Ordering::Relaxed);
 
     let entry = cache.peek_mut(fp).expect("entry just probed/inserted");
-    let warm = hit && !req.cold && !entry.engines.is_empty();
-    let mut engines = std::mem::take(&mut entry.engines);
-    if req.cold {
-        // The gated reset path: a forced-cold serve must replay the
-        // cold solve bit-exactly (pinned by the engine-cache tests).
-        for e in &mut engines {
-            e.reset();
-        }
-    }
 
     let mut harness = RunHarness::new();
     if let Some(deadline_ms) = req.deadline_ms {
@@ -705,25 +686,22 @@ fn run_aligned(
             }
         }
     }
-    let run = match (req.method, req.record) {
-        (Method::Bp, true) => {
-            match harness.run_bp_recorded(&entry.problem, &entry.config, engines) {
-                Ok((outcome, trajectory, released)) => {
+    let run =
+        match (req.method, req.record) {
+            (Method::Bp, true) => harness.run_bp_recorded(&entry.problem, &entry.config).map(
+                |(outcome, trajectory)| {
                     entry.trajectory = Some(trajectory);
                     recorded = true;
-                    Ok((outcome, released))
-                }
-                Err(e) => Err(e),
-            }
-        }
-        (Method::Bp, false) => harness.run_bp_warm(&entry.problem, &entry.config, engines),
-        (Method::Mr, _) => harness.run_mr_warm(&entry.problem, &entry.config, engines),
-    };
+                    outcome
+                },
+            ),
+            (Method::Bp, false) => harness.run_bp(&entry.problem, &entry.config),
+            (Method::Mr, _) => harness.run_mr(&entry.problem, &entry.config),
+        };
     let solve = solve_start.elapsed();
 
     match run {
-        Ok((outcome, released)) => {
-            entry.engines = released;
+        Ok(outcome) => {
             if recorded {
                 if let Some(store) = durable.as_mut() {
                     // Spill first, commit second: a commit in the
@@ -745,11 +723,11 @@ fn run_aligned(
                     }
                 }
             }
-            record_outcome(shared, &outcome, warm, solve);
+            record_outcome(shared, &outcome, hit, solve);
             protocol::align_response(
                 req,
                 &outcome,
-                warm,
+                hit,
                 recorded,
                 queue_wait.as_secs_f64() * 1e3,
                 solve.as_secs_f64() * 1e3,
@@ -815,18 +793,10 @@ fn run_delta(
                 );
             }
         }
-        let engines = std::mem::take(&mut entry.engines);
-        match core_delta::replay_bp(
-            &entry.problem,
-            &entry.config,
-            &mut trajectory,
-            &req.delta,
-            engines,
-        ) {
+        match core_delta::replay_bp(&entry.problem, &entry.config, &mut trajectory, &req.delta) {
             Ok(out) => {
                 entry.problem = out.problem;
                 entry.trajectory = Some(trajectory);
-                entry.engines = out.engines;
                 let new_fp = problem_fingerprint(
                     &entry.problem.a,
                     &entry.problem.b,
@@ -839,8 +809,7 @@ fn run_delta(
             }
             Err(e) => {
                 // Replay validates and patches before touching the
-                // trajectory, so the base stays replayable; only the
-                // warm engines are lost (rebuilt cold next run).
+                // trajectory, so the base stays replayable.
                 entry.trajectory = Some(trajectory);
                 Err(e)
             }
@@ -904,15 +873,6 @@ fn record_outcome(shared: &Shared, outcome: &AlignOutcome, warm: bool, solve: Du
     } else {
         shared.metrics.solve_cold.record(solve);
     }
-    let m = &outcome.result.trace.matcher;
-    shared
-        .metrics
-        .matcher_warm_hits
-        .fetch_add(m.warm_hits, Ordering::Relaxed);
-    shared
-        .metrics
-        .matcher_reseeded
-        .fetch_add(m.reseeded_vertices, Ordering::Relaxed);
     if outcome.completion == Completion::DeadlineBestSoFar {
         ServerMetrics::bump(&shared.metrics.deadline_best_so_far);
     }

@@ -406,8 +406,6 @@ pub struct MatcherCounters {
     queue_peak: AtomicU64,
     proposals: AtomicU64,
     displacements: AtomicU64,
-    warm_hits: AtomicU64,
-    reseeded_vertices: AtomicU64,
 }
 
 static DISABLED_COUNTERS: MatcherCounters = MatcherCounters::new(false);
@@ -426,8 +424,6 @@ impl MatcherCounters {
             queue_peak: AtomicU64::new(0),
             proposals: AtomicU64::new(0),
             displacements: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            reseeded_vertices: AtomicU64::new(0),
         }
     }
 
@@ -514,23 +510,6 @@ impl MatcherCounters {
         }
     }
 
-    /// `n` vertices whose previous matcher state was reused verbatim by
-    /// a warm start.
-    #[inline]
-    pub fn add_warm_hits(&self, n: u64) {
-        if self.enabled {
-            self.warm_hits.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// `n` vertices invalidated by a warm start and re-processed.
-    #[inline]
-    pub fn add_reseeded_vertices(&self, n: u64) {
-        if self.enabled {
-            self.reseeded_vertices.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Current values as a plain struct.
     pub fn snapshot(&self) -> MatcherCounterSnapshot {
         MatcherCounterSnapshot {
@@ -543,8 +522,7 @@ impl MatcherCounters {
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
             proposals: self.proposals.load(Ordering::Relaxed),
             displacements: self.displacements.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            reseeded_vertices: self.reseeded_vertices.load(Ordering::Relaxed),
+            ..MatcherCounterSnapshot::default()
         }
     }
 
@@ -569,9 +547,6 @@ impl MatcherCounters {
             self.proposals.fetch_add(snap.proposals, Ordering::Relaxed);
             self.displacements
                 .fetch_add(snap.displacements, Ordering::Relaxed);
-            self.warm_hits.fetch_add(snap.warm_hits, Ordering::Relaxed);
-            self.reseeded_vertices
-                .fetch_add(snap.reseeded_vertices, Ordering::Relaxed);
         }
     }
 
@@ -586,8 +561,6 @@ impl MatcherCounters {
         self.queue_peak.store(0, Ordering::Relaxed);
         self.proposals.store(0, Ordering::Relaxed);
         self.displacements.store(0, Ordering::Relaxed);
-        self.warm_hits.store(0, Ordering::Relaxed);
-        self.reseeded_vertices.store(0, Ordering::Relaxed);
     }
 }
 
@@ -613,9 +586,10 @@ pub struct MatcherCounterSnapshot {
     pub proposals: u64,
     /// Suitors displaced by a better proposal.
     pub displacements: u64,
-    /// Vertices whose previous matcher state a warm start reused.
+    /// Always 0: the matcher no longer warm-starts. Kept so readers of
+    /// the snapshot and checkpoint v2's counter block stay unchanged.
     pub warm_hits: u64,
-    /// Vertices invalidated and re-processed by a warm start.
+    /// Always 0, like [`MatcherCounterSnapshot::warm_hits`].
     pub reseeded_vertices: u64,
 }
 
@@ -636,8 +610,6 @@ impl MatcherCounterSnapshot {
         self.queue_peak = self.queue_peak.max(other.queue_peak);
         self.proposals += other.proposals;
         self.displacements += other.displacements;
-        self.warm_hits += other.warm_hits;
-        self.reseeded_vertices += other.reseeded_vertices;
     }
 
     /// JSON object form.
@@ -652,8 +624,6 @@ impl MatcherCounterSnapshot {
             ("queue_peak", Json::U64(self.queue_peak)),
             ("proposals", Json::U64(self.proposals)),
             ("displacements", Json::U64(self.displacements)),
-            ("warm_hits", Json::U64(self.warm_hits)),
-            ("reseeded_vertices", Json::U64(self.reseeded_vertices)),
         ])
     }
 }

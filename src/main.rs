@@ -3,7 +3,7 @@
 //! ```text
 //! netalignmc stats    --a A.el --b B.el --l L.smat
 //! netalignmc align    --a A.el --b B.el --l L.smat --method bp
-//!                     [--matcher ld-parallel] [--warm-start true]
+//!                     [--matcher ld-parallel]
 //!                     [--alpha 1] [--beta 2]
 //!                     [--gamma 0.99] [--iters 100] [--batch 1]
 //!                     [--out matching.txt] [--json-out result.json]
@@ -11,10 +11,8 @@
 //!
 //! The `--matcher` shorthands `ld` and `suitor` route the
 //! per-iteration rounding through the preallocated matcher engine
-//! (queue-based parallel LD or lock-free parallel Suitor); adding
-//! `--warm-start true` seeds each rounding from the previous
-//! iteration's mate state. Results are bit-identical to the legacy
-//! one-shot matchers of the same family.
+//! (queue-based parallel LD or lock-free parallel Suitor). Results are
+//! bit-identical to the legacy one-shot matchers of the same family.
 //! netalignmc generate --dataset dmela-scere [--scale 0.1] [--seed 42]
 //!                     --out-dir data/
 //! ```
@@ -52,7 +50,7 @@ fn help_text() -> String {
          align flags (see the crate docs for the full list):\n\
          \x20 --a A.el --b B.el --l L.smat   input graphs\n\
          \x20 --method bp|mr|isorank|nsd|naive\n\
-         \x20 --matcher exact|ld|suitor|...  [--warm-start true]\n\
+         \x20 --matcher exact|ld|suitor|...\n\
          \x20 --mmap DIR                     out-of-core BP: stream S to DIR, mmap sweeps\n\
          \x20 --max-resident-mb N            resident budget for --mmap (exit 6 if infeasible)\n\
          \x20 --dist-workers N               run BP across N worker processes over localhost TCP\n\
@@ -300,11 +298,6 @@ fn cmd_stats(flags: &HashMap<String, String>) {
 fn cmd_align(flags: &HashMap<String, String>) {
     let method = get_or(flags, "method", "bp");
     let (matcher, rounding) = parse_matcher(get_or(flags, "matcher", "exact"));
-    let warm_start = get_or(flags, "warm-start", "false") == "true";
-    if warm_start && rounding.is_none() {
-        eprintln!("--warm-start true requires --matcher ld or suitor (the engine shorthands)");
-        exit(exitcode::USAGE)
-    }
     let cfg = AlignConfig {
         alpha: parse_num(get_or(flags, "alpha", "1.0"), "alpha"),
         beta: parse_num(get_or(flags, "beta", "2.0"), "beta"),
@@ -314,7 +307,6 @@ fn cmd_align(flags: &HashMap<String, String>) {
         batch: parse_num(get_or(flags, "batch", "1"), "batch"),
         matcher,
         rounding,
-        warm_start,
         final_exact_round: get_or(flags, "final-exact", "true") == "true",
         ..Default::default()
     };
@@ -587,15 +579,7 @@ fn cmd_align(flags: &HashMap<String, String>) {
     println!("method    : {method}");
     println!("matcher   : {}", cfg.matcher.name());
     if let Some(kind) = cfg.rounding {
-        println!(
-            "rounding  : {:?} engine{}",
-            kind,
-            if cfg.warm_start {
-                " (warm-started)"
-            } else {
-                ""
-            }
-        );
+        println!("rounding  : {kind:?} engine");
     }
     println!("objective : {:.4}", r.objective);
     println!("weight    : {:.4}", r.weight);

@@ -29,7 +29,6 @@ fn bench_matchers(c: &mut Criterion) {
         MatcherKind::Suitor,
         MatcherKind::ParallelSuitor,
         MatcherKind::PathGrowing,
-        MatcherKind::Distributed { ranks: 4 },
         MatcherKind::Auction { eps_rel: 1e-3 },
     ] {
         group.bench_with_input(

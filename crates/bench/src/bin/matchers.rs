@@ -3,7 +3,7 @@
 //! relative to optimal, cardinality, wall-clock.
 //!
 //! Flags: `--dataset dmela-scere|homo-musm|lcsh-wiki|lcsh-rameau`,
-//! `--scale`, `--seed`, `--ranks` (for the distributed matcher).
+//! `--scale`, `--seed`.
 
 use netalign_bench::{table::f, Args, Table};
 use netalign_data::standins::StandIn;
@@ -15,7 +15,6 @@ fn main() {
     let args = Args::parse();
     let scale = args.f64("scale", 0.2);
     let seed = args.u64("seed", 7);
-    let ranks = args.usize("ranks", 4);
     let dataset = args.string("dataset", "dmela-scere");
 
     let si = match dataset.as_str() {
@@ -67,7 +66,6 @@ fn main() {
         MatcherKind::Suitor,
         MatcherKind::ParallelSuitor,
         MatcherKind::PathGrowing,
-        MatcherKind::Distributed { ranks },
         MatcherKind::Auction { eps_rel: 1e-4 },
     ] {
         let t0 = Instant::now();

@@ -32,7 +32,6 @@
 //! pending rounding vectors are staged in pooled buffers that are
 //! recycled after every flush.
 
-pub mod distributed;
 pub mod othermax;
 
 use crate::checkpoint::BpState;
@@ -48,7 +47,7 @@ use crate::trace::{faults, MatcherCounters, RunTrace, Step};
 use netalign_graph::mmap::Advice;
 use netalign_graph::nacs::Section;
 use netalign_graph::VertexId;
-use netalign_matching::{MatcherEngine, MatcherKind, RoundingMatcher};
+use netalign_matching::{MatcherEngine, MatcherKind, Matching, RoundingMatcher};
 use othermax::{column_positions, othermaxcol_into, othermaxrow_into};
 use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
@@ -1023,20 +1022,13 @@ pub(crate) fn finalize(
     // succeeded, so `best` is always `Some` by the time it gets here.
     let (best_obj, best_g, best_iter) = best.expect("finish() always supplies an incumbent");
     let t0 = Instant::now();
-    let mut matching = netalign_matching::max_weight_matching_traced(
+    let matching = netalign_matching::max_weight_matching_traced(
         &p.l,
         &best_g,
         config.matcher,
         matcher_counters,
     );
-    if config.final_exact_round && config.matcher != MatcherKind::Exact {
-        // The paper always converts the best heuristic with one exact
-        // matching at the very end (§VII).
-        let exact = round_heuristic(p, &best_g, config.alpha, config.beta, MatcherKind::Exact);
-        if exact.value.total >= best_obj {
-            matching = exact.matching;
-        }
-    }
+    let matching = exact_final_round(p, config, &best_g, best_obj, matching);
     trace.add(Step::Match, t0.elapsed());
     trace.matcher = matcher_counters.snapshot();
     trace.stamp_peak_rss();
@@ -1051,6 +1043,26 @@ pub(crate) fn finalize(
         history,
         trace,
     }
+}
+
+/// The paper's closing step (§VII): with `final_exact_round` and a
+/// heuristic matcher, round the best iterate `best_g` once more with
+/// the exact matcher, and keep that matching over `matching` when its
+/// objective is at least the incumbent's `best_obj`.
+pub(crate) fn exact_final_round(
+    p: &NetAlignProblem,
+    config: &AlignConfig,
+    best_g: &[f64],
+    best_obj: f64,
+    matching: Matching,
+) -> Matching {
+    if config.final_exact_round && config.matcher != MatcherKind::Exact {
+        let exact = round_heuristic(p, best_g, config.alpha, config.beta, MatcherKind::Exact);
+        if exact.value.total >= best_obj {
+            return exact.matching;
+        }
+    }
+    matching
 }
 
 #[cfg(test)]

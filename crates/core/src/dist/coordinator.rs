@@ -2,15 +2,15 @@
 //! over reliable RPC, supervises failures, and assembles the final
 //! alignment.
 //!
-//! The driver is the simulated [`crate::bp::distributed`] loop with the
-//! scoped threads replaced by RPC round-trips:
+//! One BP iteration is five supersteps, each a round of RPCs to every
+//! worker:
 //!
 //! * **A** — gather halo payloads (`ProduceHalo`), route them by the
 //!   static plans, scatter (`ScatterHalo`);
 //! * **B** — `Solve` runs F/d/othermaxrow and column partials on every
 //!   worker concurrently;
-//! * **C** — the coordinator merges column partials with the exact
-//!   shared [`merge_col_partials`] kernel;
+//! * **C** — the coordinator merges column partials with
+//!   [`merge_col_partials`];
 //! * **D** — `Finish` completes othermaxcol, the S update, and damping
 //!   on the workers, which checkpoint durably *before* replying and
 //!   return their damped `y`/`z` blocks;
@@ -29,10 +29,11 @@
 //! single-process engine no matter which faults fired.
 
 use super::ckpt;
+use super::partition::{merge_col_partials, ColStat, Partition};
 use super::rpc::{LinkDead, Rpc, Timeouts, MAX_FRAME};
 use super::wire::{decode_frame, Frame, MatchPhase, Reply, Request, SetupMsg};
 use super::worker::WORKER_ENV;
-use crate::bp::distributed::{merge_col_partials, ColStat, Partition};
+use crate::bp::exact_final_round;
 use crate::config::AlignConfig;
 use crate::frame::{self, FrameRead};
 use crate::objective::evaluate_matching;
@@ -271,9 +272,9 @@ fn accept_loop(listener: TcpListener, tx: Sender<(u32, TcpStream)>, stop: Arc<At
 /// Run belief propagation + locally-dominant rounding across real
 /// worker processes. The result is bit-identical to
 /// [`crate::bp::belief_propagation`] with the parallel locally-dominant
-/// matcher (and to [`crate::bp::distributed_belief_propagation`] at any
-/// rank count), regardless of injected transport faults or worker
-/// crashes — or the run fails with a typed [`DistError`].
+/// matcher at every worker count, regardless of injected transport
+/// faults or worker crashes — or the run fails with a typed
+/// [`DistError`].
 pub fn align_distributed(
     problem: &NetAlignProblem,
     config: &AlignConfig,
@@ -303,11 +304,9 @@ pub fn align_distributed(
 /// worker processes: every part gets the candidate graph, then the
 /// propose/match/invalidate phases run with the coordinator routing
 /// (and, when [`DistConfig::matcher_msg_drop`] is set, deterministically
-/// dropping) the inter-rank messages. This is the real-transport
-/// counterpart of
-/// [`netalign_matching::distributed::distributed_local_dominant`] and
-/// keeps its guarantees — validity, half-approximation, termination —
-/// under message loss.
+/// dropping) the inter-rank messages. Without loss the matching is the
+/// serial locally-dominant one; under loss the protocol keeps its
+/// guarantees — validity, half-approximation, termination.
 pub fn match_distributed(
     problem: &NetAlignProblem,
     weights: &[f64],
@@ -320,9 +319,8 @@ pub fn match_distributed(
     );
     let config = AlignConfig::default();
     let (result, _slots) = run_with_cluster(dc, |cluster, state_dir| loop {
-        let setup = resync(cluster, problem, &config, state_dir, 0).and_then(|(pt, assign, _)| {
-            let np = pt.num_ranks();
-            round_distributed(cluster, problem, weights, np, &assign, dc.matcher_msg_drop)
+        let setup = resync(cluster, problem, &config, state_dir, 0).and_then(|(_, assign, _)| {
+            round_distributed(cluster, problem, weights, &assign, dc.matcher_msg_drop)
         });
         match setup {
             Ok(m) => return Ok(m),
@@ -604,7 +602,7 @@ fn iterate_once(
         })
         .collect::<Result<_, _>>()?;
 
-    // C: deterministic merge (the exact simulated kernel).
+    // C: deterministic merge.
     let stats = merge_col_partials(&all_partials, p.l.num_right(), np);
 
     // D: finish + damping + durable checkpoint; gather damped blocks.
@@ -641,10 +639,10 @@ fn round_distributed(
     cluster: &mut Cluster,
     p: &NetAlignProblem,
     weights: &[f64],
-    np: usize,
     assign: &[usize],
     matcher_msg_drop: Option<u64>,
 ) -> Result<Matching, DeadSlot> {
+    let np = assign.len();
     let faulty = matcher_msg_drop.is_some();
     let start_reqs: Vec<Request> = (0..np)
         .map(|_| Request::MatchStart {
@@ -735,6 +733,66 @@ fn round_distributed(
     Ok(pairs_to_matching(&p.l, pairs))
 }
 
+/// The coordinator's rounding state, kept across epochs: iterates
+/// gathered but not yet rounded, the recorded history, the incumbent
+/// `(objective, iterate, iteration)` and the run trace.
+struct Rounding {
+    pending: Vec<(usize, Vec<f64>)>,
+    history: Vec<IterationRecord>,
+    best: Option<(f64, Vec<f64>, usize)>,
+    trace: RunTrace,
+}
+
+impl Rounding {
+    /// Roll back to the resume point `j`; anything newer re-executes
+    /// deterministically. `best` is a running strict max, so dropping a
+    /// post-`j` best regenerates it identically.
+    fn rollback(&mut self, j: u32) {
+        self.pending.retain(|(ik, _)| *ik as u32 <= j);
+        self.history.retain(|r| r.iteration as u32 <= j);
+        if self.best.as_ref().is_some_and(|&(_, _, bi)| bi as u32 > j) {
+            self.best = None;
+        }
+    }
+
+    /// Round the pending iterates in order as one batch, recording each
+    /// in the history and keeping the strict-max incumbent. A slot
+    /// failure returns with the unrounded tail still pending.
+    fn flush(
+        &mut self,
+        cluster: &mut Cluster,
+        p: &NetAlignProblem,
+        config: &AlignConfig,
+        assign: &[usize],
+        matcher_msg_drop: Option<u64>,
+    ) -> Result<(), DeadSlot> {
+        self.trace.algo.rounding_invocations += 1;
+        self.trace
+            .algo
+            .rounding_batch_sizes
+            .push(self.pending.len() as u64);
+        while let Some((_, g)) = self.pending.first() {
+            let matching = round_distributed(cluster, p, g, assign, matcher_msg_drop)?;
+            let (ik, g) = self.pending.remove(0);
+            let value = evaluate_matching(p, &matching, config.alpha, config.beta);
+            if config.record_history {
+                self.history.push(IterationRecord {
+                    iteration: ik,
+                    objective: value.total,
+                    weight: value.weight,
+                    overlap: value.overlap,
+                    upper_bound: None,
+                });
+            }
+            if self.best.as_ref().is_none_or(|(b, _, _)| value.total > *b) {
+                self.best = Some((value.total, g, ik));
+                self.trace.algo.best_improvements += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The epoch loop: every slot failure unwinds here, recovery reseeds
 /// the cluster from the newest durable checkpoint tiling, and the
 /// deterministic re-execution continues where it left off.
@@ -745,11 +803,12 @@ fn drive(
     dc: &DistConfig,
     state_dir: &std::path::Path,
 ) -> Result<AlignmentResult, DistError> {
-    let (alpha, beta, gamma) = (config.alpha, config.beta, config.gamma);
-    let mut pending: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut history: Vec<IterationRecord> = Vec::new();
-    let mut best: Option<(f64, Vec<f64>, usize)> = None;
-    let mut trace = RunTrace::new();
+    let mut rounding = Rounding {
+        pending: Vec::new(),
+        history: Vec::new(),
+        best: None,
+        trace: RunTrace::new(),
+    };
     // Last iteration whose Finish replies were all gathered — its
     // checkpoints are durable on every worker.
     let mut completed: u32 = 0;
@@ -762,21 +821,12 @@ fn drive(
                 continue 'epoch;
             }
         };
-        let np = partition.num_ranks();
-        // Roll coordinator state back to the resume point; anything
-        // newer re-executes deterministically. `best` is a running
-        // strict max, so dropping a post-`j` best regenerates it
-        // identically.
-        pending.retain(|(ik, _)| *ik as u32 <= j);
-        history.retain(|r| r.iteration as u32 <= j);
-        if best.as_ref().is_some_and(|&(_, _, bi)| bi as u32 > j) {
-            best = None;
-        }
+        rounding.rollback(j);
         completed = j;
         let mut k = j as usize + 1;
 
         while k <= config.iterations {
-            let gk = config.damping.fresh_weight(gamma, k);
+            let gk = config.damping.fresh_weight(config.gamma, k);
             let (gy, gz) = match iterate_once(cluster, p, &partition, &assign, k as u32, gk) {
                 Ok(v) => v,
                 Err(DeadSlot(slot)) => {
@@ -785,39 +835,12 @@ fn drive(
                 }
             };
             completed = k as u32;
-            pending.push((k, gy));
-            pending.push((k, gz));
-            if pending.len() >= config.batch.max(1) * 2 || k == config.iterations {
-                trace.algo.rounding_invocations += 1;
-                trace.algo.rounding_batch_sizes.push(pending.len() as u64);
-                let mut failed: Option<usize> = None;
-                while !pending.is_empty() {
-                    let (ik, g) = pending[0].clone();
-                    match round_distributed(cluster, p, &g, np, &assign, dc.matcher_msg_drop) {
-                        Ok(matching) => {
-                            let value = evaluate_matching(p, &matching, alpha, beta);
-                            pending.remove(0);
-                            if config.record_history {
-                                history.push(IterationRecord {
-                                    iteration: ik,
-                                    objective: value.total,
-                                    weight: value.weight,
-                                    overlap: value.overlap,
-                                    upper_bound: None,
-                                });
-                            }
-                            if best.as_ref().is_none_or(|(b, _, _)| value.total > *b) {
-                                best = Some((value.total, g, ik));
-                                trace.algo.best_improvements += 1;
-                            }
-                        }
-                        Err(DeadSlot(slot)) => {
-                            failed = Some(slot);
-                            break;
-                        }
-                    }
-                }
-                if let Some(slot) = failed {
+            rounding.pending.push((k, gy));
+            rounding.pending.push((k, gz));
+            if rounding.pending.len() >= config.batch.max(1) * 2 || k == config.iterations {
+                if let Err(DeadSlot(slot)) =
+                    rounding.flush(cluster, p, config, &assign, dc.matcher_msg_drop)
+                {
                     recover(cluster, slot, dc)?;
                     continue 'epoch;
                 }
@@ -827,72 +850,33 @@ fn drive(
 
         // Crash-resume leftovers: a recovery at the final iteration can
         // land here with the unrounded tail of the last batch.
-        if !pending.is_empty() {
-            trace.algo.rounding_invocations += 1;
-            trace.algo.rounding_batch_sizes.push(pending.len() as u64);
-            let mut failed: Option<usize> = None;
-            while !pending.is_empty() {
-                let (ik, g) = pending[0].clone();
-                match round_distributed(cluster, p, &g, np, &assign, dc.matcher_msg_drop) {
-                    Ok(matching) => {
-                        let value = evaluate_matching(p, &matching, alpha, beta);
-                        pending.remove(0);
-                        if config.record_history {
-                            history.push(IterationRecord {
-                                iteration: ik,
-                                objective: value.total,
-                                weight: value.weight,
-                                overlap: value.overlap,
-                                upper_bound: None,
-                            });
-                        }
-                        if best.as_ref().is_none_or(|(b, _, _)| value.total > *b) {
-                            best = Some((value.total, g, ik));
-                            trace.algo.best_improvements += 1;
-                        }
-                    }
-                    Err(DeadSlot(slot)) => {
-                        failed = Some(slot);
-                        break;
-                    }
-                }
-            }
-            if let Some(slot) = failed {
+        if !rounding.pending.is_empty() {
+            if let Err(DeadSlot(slot)) =
+                rounding.flush(cluster, p, config, &assign, dc.matcher_msg_drop)
+            {
                 recover(cluster, slot, dc)?;
                 continue 'epoch;
             }
         }
 
         // Final re-rounding of the best iterate (the single-process
-        // engine's closing step).
+        // engine's closing step); the exact conversion runs on the
+        // coordinator because the exact matcher is centralized.
         let (best_obj, best_g, best_iter) = {
-            let (b, g, bi) = best.as_ref().expect("at least one rounding happened");
+            let (b, g, bi) = rounding
+                .best
+                .as_ref()
+                .expect("at least one rounding happened");
             (*b, g.clone(), *bi)
         };
-        let mut matching =
-            match round_distributed(cluster, p, &best_g, np, &assign, dc.matcher_msg_drop) {
-                Ok(m) => m,
-                Err(DeadSlot(slot)) => {
-                    recover(cluster, slot, dc)?;
-                    continue 'epoch;
-                }
-            };
-        // Same tail as the single-process `finalize`: the paper's
-        // closing exact conversion of the best heuristic (§VII),
-        // coordinator-local because the exact matcher is centralized.
-        if config.final_exact_round && config.matcher != netalign_matching::MatcherKind::Exact {
-            let exact = crate::rounding::round_heuristic(
-                p,
-                &best_g,
-                alpha,
-                beta,
-                netalign_matching::MatcherKind::Exact,
-            );
-            if exact.value.total >= best_obj {
-                matching = exact.matching;
+        let matching = match round_distributed(cluster, p, &best_g, &assign, dc.matcher_msg_drop) {
+            Ok(m) => exact_final_round(p, config, &best_g, best_obj, m),
+            Err(DeadSlot(slot)) => {
+                recover(cluster, slot, dc)?;
+                continue 'epoch;
             }
-        }
-        let value = evaluate_matching(p, &matching, alpha, beta);
+        };
+        let value = evaluate_matching(p, &matching, config.alpha, config.beta);
         return Ok(AlignmentResult {
             matching,
             objective: value.total,
@@ -900,8 +884,8 @@ fn drive(
             overlap: value.overlap,
             best_iteration: best_iter,
             upper_bound: None,
-            history,
-            trace,
+            history: rounding.history,
+            trace: rounding.trace,
         });
     }
 }

@@ -1,10 +1,13 @@
-//! Real distributed execution: multi-process BP and matching over
-//! localhost TCP with crash recovery.
+//! Distributed execution: multi-process BP and matching over localhost
+//! TCP with crash recovery — paper §IX's distributed setting, with
+//! sparse matrix primitives and a distributed half-approximate matcher.
 //!
-//! Where [`crate::bp::distributed`] *simulates* ranks with scoped
-//! threads, this module runs them as actual worker **processes** wired
-//! to a coordinator over length-prefixed frames ([`crate::frame`]):
+//! The ranks are actual worker **processes** wired to a coordinator
+//! over length-prefixed frames ([`crate::frame`]):
 //!
+//! * [`partition`] — the static left-vertex partition, its halo plans
+//!   and the column-statistics merge that the coordinator, the workers
+//!   and the codec share;
 //! * [`wire`] — the bit-exact binary codec for coordinator↔worker
 //!   messages;
 //! * [`rpc`] — reliable request/response over a lossy transport
@@ -25,6 +28,7 @@
 
 pub(crate) mod ckpt;
 pub(crate) mod coordinator;
+pub(crate) mod partition;
 pub(crate) mod rpc;
 pub(crate) mod wire;
 pub(crate) mod worker;

@@ -3,9 +3,9 @@
 //! The transport under this layer is lossy on purpose: the
 //! deterministic fault injector may drop, duplicate, delay, or tear
 //! any first transmission of a request frame. Reliability is restored
-//! the same way the simulated distributed matcher restores it —
-//! sequence numbers plus timeout-driven retransmission with bounded
-//! exponential backoff:
+//! the same way the distributed matcher's `RankCore` restores it under
+//! message loss — sequence numbers plus timeout-driven retransmission
+//! with bounded exponential backoff:
 //!
 //! * every request carries a per-slot monotone `seq`; the worker
 //!   deduplicates repeats and re-serves its cached reply,

@@ -7,7 +7,7 @@
 //! Decoding is total: torn or trailing bytes yield a typed
 //! [`WireError`], never a panic or an over-read.
 
-use crate::bp::distributed::ColStat;
+use super::partition::ColStat;
 use netalign_matching::distributed::DistMsg;
 
 /// Decode failure. The transport treats any of these as a poisoned

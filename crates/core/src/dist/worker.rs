@@ -6,8 +6,8 @@
 //! `main`. The worker dials the coordinator, says `Hello{slot}`, and
 //! then serves requests forever:
 //!
-//! * BP supersteps run the **same kernels in the same order** as the
-//!   simulated ranks in [`crate::bp::distributed`] (bit-identity),
+//! * BP supersteps run the **same floating-point operations in the
+//!   same order** as the single-process engine (bit-identity),
 //! * matcher phases delegate to the transport-agnostic
 //!   [`RankCore`](netalign_matching::distributed::RankCore),
 //! * every `Finish` writes an `NADC` checkpoint **before** replying, so
@@ -23,9 +23,9 @@
 //! abort the process at exact protocol moments for the chaos suite.
 
 use super::ckpt::{self, CkptBlock};
+use super::partition::ColStat;
 use super::rpc::MAX_FRAME;
 use super::wire::{decode_frame, encode_frame, Frame, MatchPhase, Reply, Request, SetupMsg};
-use crate::bp::distributed::ColStat;
 use crate::frame::{self, FrameRead};
 use netalign_graph::BipartiteGraph;
 use netalign_matching::distributed::RankCore;
@@ -49,7 +49,7 @@ pub fn maybe_run_worker() {
     }
 }
 
-/// One rank's solver state, mirroring the simulated `RankState`.
+/// One rank's solver state: its block of the BP iterates.
 struct WorkerState {
     l: BipartiteGraph,
     part_index: usize,
@@ -144,8 +144,7 @@ impl WorkerState {
         }
     }
 
-    /// Superstep B: F/d kernels, othermaxrow, column partials — the
-    /// simulated rank's closure, verbatim.
+    /// Superstep B: F/d kernels, othermaxrow, column partials.
     fn solve(&mut self) -> Vec<(u32, ColStat)> {
         let w = self.l.weights();
         for i in 0..self.fv.len() {
@@ -178,26 +177,19 @@ impl WorkerState {
                 self.omr[e - self.e_lo] = v.max(0.0);
             }
         }
-        // Column partials over z_prev.
+        // Column partials over z_prev, one per right vertex in order of
+        // first appearance; slot[b] is b's position in the list.
         let mut partials: Vec<(u32, ColStat)> = Vec::new();
-        let mut last: Option<usize> = None;
+        let mut slot = vec![u32::MAX; self.l.num_right()];
         for e in self.e_lo..self.e_hi {
-            let b = self.l.endpoints(e).1;
-            let v = self.z_prev[e - self.e_lo];
-            match last {
-                Some(i) if partials[i].0 == b => partials[i].1.push(v, e as u32),
-                _ => {
-                    if let Some(i) = partials.iter().position(|&(pb, _)| pb == b) {
-                        partials[i].1.push(v, e as u32);
-                        last = Some(i);
-                        continue;
-                    }
-                    let mut s0 = ColStat::EMPTY;
-                    s0.push(v, e as u32);
-                    partials.push((b, s0));
-                    last = Some(partials.len() - 1);
-                }
+            let b = self.l.endpoints(e).1 as usize;
+            if slot[b] == u32::MAX {
+                slot[b] = partials.len() as u32;
+                partials.push((b as u32, ColStat::EMPTY));
             }
+            partials[slot[b] as usize]
+                .1
+                .push(self.z_prev[e - self.e_lo], e as u32);
         }
         partials
     }
@@ -206,14 +198,14 @@ impl WorkerState {
     /// checkpoint the damped state for iteration `k` before the caller
     /// replies.
     fn finish(&mut self, k: u32, gk: f64, stats: &[(u32, ColStat)]) -> Reply {
+        // The merged list names each right vertex once.
+        let mut col = vec![ColStat::EMPTY; self.l.num_right()];
+        for &(b, stat) in stats {
+            col[b as usize] = stat;
+        }
         for e in self.e_lo..self.e_hi {
             let le = e - self.e_lo;
-            let b = self.l.endpoints(e).1;
-            let stat = stats
-                .iter()
-                .find(|&&(sb, _)| sb == b)
-                .map(|&(_, s)| s)
-                .unwrap_or(ColStat::EMPTY);
+            let stat = col[self.l.endpoints(e).1 as usize];
             let v = if e as u32 == stat.arg_eid {
                 stat.max2
             } else {

@@ -27,7 +27,6 @@
 //! steady state; only the full bipartite matching and the objective
 //! evaluation of step 3/4 — the pluggable matcher — allocate.
 
-pub mod distributed;
 pub mod rowmatch;
 
 use crate::bp::{all_finite, finalize, install_fault_hook, CHUNK};
@@ -239,8 +238,7 @@ impl<'a> MrEngine<'a> {
         matching.indicator_into(&p.l, &mut self.x);
         // Serial dot product: a rayon float reduction's tree shape (and
         // hence its roundoff) depends on work stealing; this sum must be
-        // deterministic so that runs are reproducible across pool sizes
-        // and bit-identical to the distributed implementation.
+        // deterministic so that runs are reproducible across pool sizes.
         let upper: f64 = self
             .x
             .iter()

@@ -7,7 +7,6 @@ use crate::approx::{
     parallel_suitor_traced, path_growing_matching, serial_local_dominant, serial_suitor,
     InitStrategy, ParallelLdOptions,
 };
-use crate::distributed::distributed_local_dominant;
 use crate::exact::{auction_matching, max_weight_matching_ssp, AuctionOptions};
 use crate::Matching;
 use netalign_graph::BipartiteGraph;
@@ -40,12 +39,6 @@ pub enum MatcherKind {
     ExternalSuitor,
     /// Path-growing ½-approximation (Drake–Hougardy).
     PathGrowing,
-    /// Simulated distributed-memory locally-dominant matching over the
-    /// given number of ranks (paper §IX future work).
-    Distributed {
-        /// Number of simulated ranks (worker threads).
-        ranks: usize,
-    },
     /// Bertsekas auction (near-exact baseline).
     Auction {
         /// ε as a fraction of the max weight; the gap to optimal is at
@@ -67,7 +60,6 @@ impl MatcherKind {
             MatcherKind::ParallelSuitor => "suitor-parallel",
             MatcherKind::ExternalSuitor => "suitor-external",
             MatcherKind::PathGrowing => "path-growing",
-            MatcherKind::Distributed { .. } => "ld-distributed",
             MatcherKind::Auction { .. } => "auction",
         }
     }
@@ -84,7 +76,6 @@ impl MatcherKind {
                 | MatcherKind::ParallelSuitor
                 | MatcherKind::ExternalSuitor
                 | MatcherKind::PathGrowing
-                | MatcherKind::Distributed { .. }
         )
     }
 }
@@ -148,7 +139,6 @@ pub fn max_weight_matching_traced(
             external_suitor_traced(l, weights, default_run_len(l), counters)
         }
         MatcherKind::PathGrowing => path_growing_matching(l, weights),
-        MatcherKind::Distributed { ranks } => distributed_local_dominant(l, weights, ranks),
         MatcherKind::Auction { eps_rel } => {
             auction_matching(l, weights, AuctionOptions { eps_rel })
         }
@@ -186,7 +176,6 @@ mod tests {
             MatcherKind::ParallelSuitor,
             MatcherKind::ExternalSuitor,
             MatcherKind::PathGrowing,
-            MatcherKind::Distributed { ranks: 3 },
             MatcherKind::Auction { eps_rel: 1e-6 },
         ] {
             let m = max_weight_matching(&l, l.weights(), kind);

@@ -1,14 +1,17 @@
-//! Distributed-memory locally-dominant matching, simulated.
+//! Distributed-memory locally-dominant matching: one rank's share of
+//! the protocol.
 //!
 //! The paper's §IX names a distributed half-approximation matching
 //! (Çatalyürek et al. [29]) as the path to an MPI implementation. This
-//! module reproduces that algorithm's structure on simulated ranks:
-//! vertices are block-partitioned across `num_ranks` workers, every
-//! worker owns the `mate`/`candidate` state of its vertices only, and
-//! all cross-partition coordination happens through explicit messages
-//! (`Propose`, `Matched`) over channels — no shared mutable state. The
-//! graph itself is shared read-only, standing in for the halo/ghost
-//! replication a real MPI code would use.
+//! module holds that algorithm's per-rank logic, [`RankCore`]:
+//! vertices are block-partitioned across `num_ranks` ranks, every rank
+//! owns the `mate`/`candidate` state of its vertices only, and all
+//! cross-partition coordination happens through explicit messages
+//! ([`DistMsg`]: `Propose`, `Matched`). The multi-process layer
+//! (`netalign_core::dist`) runs one core per worker process and routes
+//! the messages over sockets; each worker holds a full copy of the
+//! graph, standing in for the halo/ghost replication a real MPI code
+//! would use.
 //!
 //! The protocol is bulk-synchronous, three phases per round:
 //!
@@ -28,12 +31,10 @@
 //! Under the crate's total edge order, the result equals the serial
 //! locally-dominant matching for every rank count — asserted in tests.
 //!
-//! ## Fault injection
+//! ## Message loss
 //!
-//! [`ChannelFaults`] deterministically drops and/or duplicates
-//! messages (counted per sending rank), standing in for the lossy
-//! transports a real deployment would face. When faults are active the
-//! protocol engages three hardening rules — a proposal that goes
+//! A core built with `faulty = true` tolerates dropped and repeated
+//! messages. It engages three hardening rules — a proposal that goes
 //! unanswered for its timeout window is retransmitted on a bounded
 //! exponential backoff (1, 2, 4, … rounds up to
 //! [`RESEND_BACKOFF_CAP`], reset whenever the proposer learns
@@ -55,12 +56,10 @@ use crate::approx::{unified_edge_gt, UnifiedView};
 pub const RESEND_BACKOFF_CAP: usize = 16;
 use crate::matching::{Matching, UNMATCHED};
 use netalign_graph::{BipartiteGraph, VertexId};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 
 /// Messages between ranks. Public so transports can encode them: the
-/// simulated driver ships them over in-process channels, the real
-/// distributed layer (`netalign_core::dist`) over framed sockets.
+/// distributed layer (`netalign_core::dist`) ships them over framed
+/// sockets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DistMsg {
     /// `from` has chosen `to` as its candidate.
@@ -69,129 +68,12 @@ pub enum DistMsg {
     Matched { v: VertexId, mate: VertexId },
 }
 
-/// Deterministic message-fault injection for the simulated distributed
-/// matcher: every `drop_every`-th send from a rank is dropped, every
-/// `dup_every`-th send is delivered twice (0 disables either fault).
-/// Counting is per sending rank, so a given graph + rank count + fault
-/// plan always exercises the same loss pattern.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChannelFaults {
-    /// Drop every n-th message a rank sends (0 = never drop).
-    pub drop_every: usize,
-    /// Duplicate every n-th message a rank sends (0 = never duplicate).
-    pub dup_every: usize,
-}
-
-impl ChannelFaults {
-    /// No injected faults.
-    pub const NONE: ChannelFaults = ChannelFaults {
-        drop_every: 0,
-        dup_every: 0,
-    };
-
-    /// True when any fault is configured (enables protocol hardening).
-    pub fn active(&self) -> bool {
-        self.drop_every > 0 || self.dup_every > 0
-    }
-}
-
-/// Per-rank faulty channel endpoint: applies [`ChannelFaults`] to each
-/// send with a deterministic per-rank message counter.
-struct FaultyLink {
-    senders: Vec<std::sync::mpsc::Sender<DistMsg>>,
-    faults: ChannelFaults,
-    sent: usize,
-}
-
-impl FaultyLink {
-    fn send(&mut self, rank: usize, msg: DistMsg) {
-        self.sent += 1;
-        let nth = |every: usize| every > 0 && self.sent.is_multiple_of(every);
-        if nth(self.faults.drop_every) {
-            return; // lost in transit
-        }
-        // Invariant: every receiver outlives the send, because all
-        // ranks leave the round loop at the same barrier-synchronized
-        // round, so the inbox cannot be closed mid-protocol.
-        self.senders[rank].send(msg).expect("inbox closed");
-        if nth(self.faults.dup_every) {
-            self.senders[rank].send(msg).expect("inbox closed");
-        }
-    }
-}
-
 /// Block partition: owner of vertex `v` among `p` ranks over `n`
 /// vertices.
 #[inline]
 fn owner(v: VertexId, n: usize, p: usize) -> usize {
     let block = n.div_ceil(p);
     ((v as usize) / block).min(p - 1)
-}
-
-/// Run the simulated distributed matcher with `num_ranks` workers.
-///
-/// # Panics
-/// Panics if `num_ranks == 0` or `weights.len() != l.num_edges()`.
-pub fn distributed_local_dominant(
-    l: &BipartiteGraph,
-    weights: &[f64],
-    num_ranks: usize,
-) -> Matching {
-    distributed_local_dominant_faulty(l, weights, num_ranks, ChannelFaults::NONE)
-}
-
-/// [`distributed_local_dominant`] with injected channel faults.
-///
-/// # Panics
-/// Panics if `num_ranks == 0` or `weights.len() != l.num_edges()`.
-pub fn distributed_local_dominant_faulty(
-    l: &BipartiteGraph,
-    weights: &[f64],
-    num_ranks: usize,
-    faults: ChannelFaults,
-) -> Matching {
-    assert!(num_ranks >= 1, "need at least one rank");
-    let view = UnifiedView::new(l, weights);
-    let n = view.num_vertices();
-    if n == 0 {
-        return Matching::empty(l.num_left(), l.num_right());
-    }
-    let p = num_ranks.min(n);
-
-    // One inbox per rank; anyone may send to it.
-    let mut senders = Vec::with_capacity(p);
-    let mut receivers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = std::sync::mpsc::channel::<DistMsg>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let barrier = Barrier::new(p);
-    let active = [AtomicBool::new(false), AtomicBool::new(false)];
-
-    let results: Vec<Vec<(VertexId, VertexId)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let senders = senders.clone();
-            let barrier = &barrier;
-            let active = &active;
-            handles.push(scope.spawn(move || {
-                rank_main(rank, p, n, l, weights, senders, rx, barrier, active, faults)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    });
-
-    let mut mate = vec![UNMATCHED; n];
-    for pairs in results {
-        for (v, m) in pairs {
-            mate[v as usize] = m;
-        }
-    }
-    view.to_matching(&mate)
 }
 
 /// Candidate of `s` among neighbors the rank believes are unmatched.
@@ -211,10 +93,9 @@ fn find_mate_local(view: &UnifiedView<'_>, s: VertexId, known_matched: &[bool]) 
 }
 
 /// One rank's share of the distributed locally-dominant protocol,
-/// factored out of the simulated driver so any transport can run it:
-/// the simulator below drives it over in-process channels, the real
-/// distributed layer (`netalign_core::dist`) over framed sockets. The
-/// struct holds everything a rank owns — mate/candidate state for its
+/// independent of the transport: the distributed layer
+/// (`netalign_core::dist`) runs it over framed sockets, the unit tests
+/// below through a sequential in-memory router. The struct holds everything a rank owns — mate/candidate state for its
 /// vertex block, pending proposals, the retransmission schedule — and
 /// the three phase methods emit outgoing messages through a
 /// `(dest_rank, msg)` callback, so the protocol logic (answer
@@ -251,9 +132,10 @@ pub struct RankCore {
     known_matched: Vec<bool>,
     dirty: Vec<VertexId>,
     matched_now: Vec<(VertexId, VertexId)>,
-    // Announcements drained early: a fast rank may broadcast `Matched`
-    // while this rank is still draining phase-2 proposals, so phase 2
-    // defers them here for phase 3 instead of asserting them away.
+    // Announcements drained early: a transport that does not keep the
+    // phases apart may deliver a `Matched` broadcast among the phase-2
+    // proposals, so phase 2 defers it here for phase 3 instead of
+    // asserting it away.
     deferred: Vec<DistMsg>,
     // Faulty-mode retransmission schedule, indexed by (v - lo): a
     // proposal whose sender is still unmatched at round `resend_at`
@@ -368,9 +250,8 @@ impl RankCore {
     }
 
     /// Phase 2: drain arrived proposals, match locally-dominant pairs,
-    /// broadcast symmetric announcements. (`Matched` broadcasts from
-    /// ranks already past their own matching loop are deferred to
-    /// phase 3.)
+    /// broadcast symmetric announcements. (`Matched` announcements
+    /// that arrive with the proposals are deferred to phase 3.)
     pub fn phase_match(&mut self, inbox: &[DistMsg], mut send: impl FnMut(usize, DistMsg)) {
         let (lo, hi) = (self.lo, self.hi);
         for &msg in inbox {
@@ -575,59 +456,79 @@ pub fn pairs_to_matching(
     view.to_matching(&mate)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    rank: usize,
-    p: usize,
-    n: usize,
-    l: &BipartiteGraph,
-    weights: &[f64],
-    senders: Vec<std::sync::mpsc::Sender<DistMsg>>,
-    rx: std::sync::mpsc::Receiver<DistMsg>,
-    barrier: &Barrier,
-    active: &[AtomicBool; 2],
-    faults: ChannelFaults,
-) -> Vec<(VertexId, VertexId)> {
-    let mut core = RankCore::new(l, rank, p, faults.active());
-    let mut link = FaultyLink {
-        senders,
-        faults,
-        sent: 0,
-    };
-    let mut q = Quiescence::new(faults.active(), n);
-    loop {
-        core.phase_propose(l, weights, q.round(), |dest, msg| link.send(dest, msg));
-        barrier.wait();
-
-        let inbox: Vec<DistMsg> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        core.phase_match(&inbox, |dest, msg| link.send(dest, msg));
-        barrier.wait();
-
-        let inbox: Vec<DistMsg> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        let progress = core.phase_invalidate(l, weights, &inbox);
-
-        // Termination: double-buffered global activity flag feeding
-        // the shared [`Quiescence`] rule.
-        let cur = q.round() % 2;
-        if progress {
-            active[cur].store(true, Ordering::SeqCst);
-        }
-        barrier.wait();
-        let keep_going = active[cur].load(Ordering::SeqCst);
-        active[(q.round() + 1) % 2].store(false, Ordering::SeqCst);
-        barrier.wait();
-        if q.step(keep_going) {
-            break;
-        }
-    }
-    core.pairs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::serial_local_dominant;
+    use crate::approx::{greedy_matching, serial_local_dominant};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// One rank's outgoing link. Faults are deterministic and counted
+    /// per sending rank: every `drop_every`-th message the rank sends is
+    /// lost, every `dup_every`-th is delivered twice (0 disables either).
+    #[derive(Clone, Copy)]
+    struct Link {
+        drop_every: usize,
+        dup_every: usize,
+        sent: usize,
+    }
+
+    impl Link {
+        const CLEAN: Link = Link::lossy(0, 0);
+
+        const fn lossy(drop_every: usize, dup_every: usize) -> Link {
+            Link {
+                drop_every,
+                dup_every,
+                sent: 0,
+            }
+        }
+
+        fn send(&mut self, inboxes: &mut [Vec<DistMsg>], dest: usize, msg: DistMsg) {
+            self.sent += 1;
+            let nth = |every: usize| every > 0 && self.sent.is_multiple_of(every);
+            if nth(self.drop_every) {
+                return; // lost in transit
+            }
+            inboxes[dest].push(msg);
+            if nth(self.dup_every) {
+                inboxes[dest].push(msg);
+            }
+        }
+    }
+
+    /// Sequential router: runs each phase rank by rank and fills every
+    /// inbox in sender order, the order the coordinator's
+    /// `round_distributed` routes replies in. Every rank sends through
+    /// its own copy of `link`.
+    fn route(l: &BipartiteGraph, ranks: usize, link: Link) -> Matching {
+        let w = l.weights();
+        let faulty = link.drop_every > 0 || link.dup_every > 0;
+        let mut cores: Vec<RankCore> = (0..ranks)
+            .map(|r| RankCore::new(l, r, ranks, faulty))
+            .collect();
+        let mut links = vec![link; ranks];
+        let mut q = Quiescence::new(faulty, l.num_left() + l.num_right());
+        loop {
+            let mut proposals = vec![Vec::new(); ranks];
+            for (core, link) in cores.iter_mut().zip(&mut links) {
+                core.phase_propose(l, w, q.round(), |dest, msg| {
+                    link.send(&mut proposals, dest, msg)
+                });
+            }
+            let mut announcements = vec![Vec::new(); ranks];
+            for ((core, link), inbox) in cores.iter_mut().zip(&mut links).zip(&proposals) {
+                core.phase_match(inbox, |dest, msg| link.send(&mut announcements, dest, msg));
+            }
+            let mut keep_going = false;
+            for (core, inbox) in cores.iter_mut().zip(&announcements) {
+                keep_going |= core.phase_invalidate(l, w, inbox);
+            }
+            if q.step(keep_going) {
+                return pairs_to_matching(l, cores.iter().flat_map(RankCore::pairs));
+            }
+        }
+    }
 
     fn random_l(seed: u64, na: usize, nb: usize, pr: f64) -> BipartiteGraph {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -642,12 +543,39 @@ mod tests {
         BipartiteGraph::from_entries(na, nb, entries)
     }
 
+    /// Weights that may be negative or tied.
+    fn rough_bipartite() -> impl Strategy<Value = BipartiteGraph> {
+        (2usize..10, 2usize..10).prop_flat_map(|(na, nb)| {
+            proptest::collection::vec((0..na as u32, 0..nb as u32, -2i32..8), 1..na * nb).prop_map(
+                move |entries| {
+                    BipartiteGraph::from_entries(
+                        na,
+                        nb,
+                        entries.into_iter().map(|(a, b, w)| (a, b, w as f64)),
+                    )
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn negative_and_tied_weights_give_the_greedy_matching(l in rough_bipartite()) {
+            let greedy = greedy_matching(&l, l.weights());
+            for ranks in [1, 3, 7] {
+                prop_assert_eq!(&route(&l, ranks, Link::CLEAN), &greedy, "ranks {}", ranks);
+            }
+        }
+    }
+
     #[test]
     fn single_rank_equals_serial() {
         for seed in 0..10 {
             let l = random_l(seed, 15, 13, 0.3);
             assert_eq!(
-                distributed_local_dominant(&l, l.weights(), 1),
+                route(&l, 1, Link::CLEAN),
                 serial_local_dominant(&l, l.weights()),
                 "seed {seed}"
             );
@@ -661,7 +589,7 @@ mod tests {
             let serial = serial_local_dominant(&l, l.weights());
             for ranks in [2, 3, 4, 7] {
                 assert_eq!(
-                    distributed_local_dominant(&l, l.weights(), ranks),
+                    route(&l, ranks, Link::CLEAN),
                     serial,
                     "seed {seed} ranks {ranks}"
                 );
@@ -673,7 +601,7 @@ mod tests {
     fn more_ranks_than_vertices() {
         let l = random_l(1, 3, 3, 0.8);
         let serial = serial_local_dominant(&l, l.weights());
-        assert_eq!(distributed_local_dominant(&l, l.weights(), 64), serial);
+        assert_eq!(route(&l, 64, Link::CLEAN), serial);
     }
 
     #[test]
@@ -683,7 +611,7 @@ mod tests {
         // empty relays (regression: `hi - lo` underflowed).
         let l = random_l(21, 80, 80, 0.1);
         let serial = serial_local_dominant(&l, l.weights());
-        assert_eq!(distributed_local_dominant(&l, l.weights(), 64), serial);
+        assert_eq!(route(&l, 64, Link::CLEAN), serial);
         for rank in [53, 54, 63] {
             let core = RankCore::new(&l, rank, 64, false);
             assert!(core.pairs().is_empty());
@@ -693,7 +621,7 @@ mod tests {
     #[test]
     fn empty_graph_terminates() {
         let l = BipartiteGraph::from_entries(4, 4, Vec::<(u32, u32, f64)>::new());
-        let m = distributed_local_dominant(&l, l.weights(), 3);
+        let m = route(&l, 3, Link::CLEAN);
         assert_eq!(m.cardinality(), 0);
     }
 
@@ -706,7 +634,7 @@ mod tests {
             2,
             vec![(0, 0, 5.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)],
         );
-        let m = distributed_local_dominant(&l, l.weights(), 4);
+        let m = route(&l, 4, Link::CLEAN);
         assert_eq!(m.mate_of_left(0), Some(0));
         assert_eq!(m.mate_of_left(1), Some(1));
     }
@@ -714,9 +642,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs_and_rank_counts() {
         let l = random_l(9, 40, 40, 0.15);
-        let reference = distributed_local_dominant(&l, l.weights(), 2);
+        let reference = route(&l, 2, Link::CLEAN);
         for _ in 0..5 {
-            assert_eq!(distributed_local_dominant(&l, l.weights(), 5), reference);
+            assert_eq!(route(&l, 5, Link::CLEAN), reference);
         }
     }
 
@@ -732,13 +660,9 @@ mod tests {
             let half = exact_weight(&l) / 2.0;
             for ranks in [2, 3, 5] {
                 for drop_every in [2, 3, 7] {
-                    let faults = ChannelFaults {
-                        drop_every,
-                        dup_every: 0,
-                    };
                     // Completing at all proves termination despite the
                     // losses (a wedged protocol would hang the test).
-                    let m = distributed_local_dominant_faulty(&l, l.weights(), ranks, faults);
+                    let m = route(&l, ranks, Link::lossy(drop_every, 0));
                     assert!(
                         m.is_valid(&l),
                         "seed {seed} ranks {ranks} drop {drop_every}"
@@ -761,12 +685,8 @@ mod tests {
             let serial = serial_local_dominant(&l, l.weights());
             for ranks in [2, 4] {
                 for dup_every in [1, 2, 5] {
-                    let faults = ChannelFaults {
-                        drop_every: 0,
-                        dup_every,
-                    };
                     assert_eq!(
-                        distributed_local_dominant_faulty(&l, l.weights(), ranks, faults),
+                        route(&l, ranks, Link::lossy(0, dup_every)),
                         serial,
                         "seed {seed} ranks {ranks} dup {dup_every}"
                     );
@@ -786,11 +706,7 @@ mod tests {
             let l = random_l(seed, 26, 24, 0.3);
             let half = exact_weight(&l) / 2.0;
             for ranks in [2, 4, 6] {
-                let faults = ChannelFaults {
-                    drop_every: 2,
-                    dup_every: 0,
-                };
-                let m = distributed_local_dominant_faulty(&l, l.weights(), ranks, faults);
+                let m = route(&l, ranks, Link::lossy(2, 0));
                 assert!(m.is_valid(&l), "seed {seed} ranks {ranks}");
                 let w = m.weight(&l, l.weights());
                 assert!(
@@ -814,12 +730,8 @@ mod tests {
             let l = random_l(seed, 28, 26, 0.25);
             let serial = serial_local_dominant(&l, l.weights());
             for ranks in [3, 5] {
-                let faults = ChannelFaults {
-                    drop_every: 0,
-                    dup_every: 1,
-                };
                 assert_eq!(
-                    distributed_local_dominant_faulty(&l, l.weights(), ranks, faults),
+                    route(&l, ranks, Link::lossy(0, 1)),
                     serial,
                     "seed {seed} ranks {ranks}"
                 );
@@ -831,12 +743,8 @@ mod tests {
     fn combined_drop_and_dup_faults_keep_the_guarantees() {
         let l = random_l(5, 30, 30, 0.2);
         let half = exact_weight(&l) / 2.0;
-        let faults = ChannelFaults {
-            drop_every: 3,
-            dup_every: 4,
-        };
         for ranks in [2, 6] {
-            let m = distributed_local_dominant_faulty(&l, l.weights(), ranks, faults);
+            let m = route(&l, ranks, Link::lossy(3, 4));
             assert!(m.is_valid(&l), "ranks {ranks}");
             let w = m.weight(&l, l.weights());
             assert!(w + 1e-9 >= half, "ranks {ranks}: {w} < {half}");

@@ -36,7 +36,6 @@ pub mod order;
 
 pub use api::{max_weight_matching, max_weight_matching_traced, MatcherKind};
 pub use approx::{external_suitor, external_suitor_traced, greedy_matching, GreedyScratch};
-pub use distributed::{distributed_local_dominant_faulty, ChannelFaults};
 pub use engine::{MatcherEngine, RoundingMatcher};
 pub use matching::Matching;
 pub use netalign_trace::{MatcherCounterSnapshot, MatcherCounters};

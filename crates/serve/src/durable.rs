@@ -607,10 +607,6 @@ fn put_config(w: &mut PayloadWriter, c: &AlignConfig) {
         MatcherKind::Suitor => w.put_u8(5),
         MatcherKind::ParallelSuitor => w.put_u8(6),
         MatcherKind::PathGrowing => w.put_u8(7),
-        MatcherKind::Distributed { ranks } => {
-            w.put_u8(8);
-            w.put_usize(ranks);
-        }
         MatcherKind::Auction { eps_rel } => {
             w.put_u8(9);
             w.put_f64(eps_rel);
@@ -652,9 +648,6 @@ fn get_config(r: &mut PayloadReader<'_>) -> Result<AlignConfig, String> {
         5 => MatcherKind::Suitor,
         6 => MatcherKind::ParallelSuitor,
         7 => MatcherKind::PathGrowing,
-        8 => MatcherKind::Distributed {
-            ranks: r.get_usize("config.matcher.ranks")?,
-        },
         9 => MatcherKind::Auction {
             eps_rel: r.get_f64("config.matcher.eps_rel")?,
         },

@@ -8,9 +8,10 @@
 //! `rounding_batch_sizes` trace counter, so these tests pin the exact
 //! flush schedule, not just the end result.
 
-use netalignmc::core::bp::distributed::distributed_belief_propagation;
+use netalignmc::core::dist::{align_distributed, DistConfig};
 use netalignmc::data::synthetic::{power_law_alignment, PowerLawParams};
 use netalignmc::prelude::*;
+use std::path::PathBuf;
 
 fn instance(seed: u64) -> netalignmc::core::NetAlignProblem {
     power_law_alignment(&PowerLawParams {
@@ -80,9 +81,9 @@ fn batching_matches_immediate_rounding_with_exact_matcher() {
 
 #[test]
 fn distributed_bp_shares_the_batch_schedule() {
-    // The distributed implementation carries the same trigger; its
+    // The multi-process coordinator carries the same trigger; its
     // flush schedule and solution must agree with the shared-memory
-    // aligner (it always rounds with the parallel matcher).
+    // aligner (it always rounds with the distributed LD matcher).
     let p = instance(53);
     let config = AlignConfig {
         iterations: 7,
@@ -91,7 +92,12 @@ fn distributed_bp_shares_the_batch_schedule() {
         ..Default::default()
     };
     let shared = belief_propagation(&p, &config);
-    let dist = distributed_belief_propagation(&p, &config, 3);
+    // The test harness is not distributed-capable; the CLI binary is.
+    let mut dc = DistConfig::new(3);
+    dc.worker_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_netalignmc")));
+    let dist = align_distributed(&p, &config, &dc)
+        .expect("distributed run failed")
+        .result;
     assert_eq!(dist.trace.algo.rounding_batch_sizes, vec![6, 6, 2]);
     assert_eq!(shared.objective, dist.objective);
     assert_eq!(shared.matching, dist.matching);

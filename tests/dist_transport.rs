@@ -3,8 +3,8 @@
 //! in-process engine at every worker count, and the distributed LD
 //! matcher must keep its guarantees (validity, half-approximation,
 //! termination, maximality) when half its routed messages are dropped
-//! on the wire — the real-transport counterparts of the simulated
-//! `ChannelFaults` tests in `netalign_matching::distributed`.
+//! on the wire — the socket counterparts of the message-fault unit
+//! tests in `netalign_matching::distributed`.
 //!
 //! Every test here spawns actual worker *processes* (the `netalignmc`
 //! binary re-entering through `maybe_run_worker`) and talks to them
@@ -51,7 +51,8 @@ fn bit_identical_to_in_process_engine_at_every_worker_count() {
     let p = instance(3);
     let config = cfg(10);
     let shared = belief_propagation(&p, &config);
-    for workers in [1, 2, 4] {
+    // Odd counts give uneven partitions of the left vertices.
+    for workers in [1, 2, 3, 4, 5] {
         let report = run(&p, &config, &dist_config(workers));
         let dist = report.result;
         assert_eq!(

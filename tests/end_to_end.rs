@@ -16,7 +16,7 @@ fn all_matchers() -> Vec<MatcherKind> {
         MatcherKind::Suitor,
         MatcherKind::ParallelSuitor,
         MatcherKind::PathGrowing,
-        MatcherKind::Distributed { ranks: 3 },
+        MatcherKind::ExternalSuitor,
         MatcherKind::Auction { eps_rel: 1e-4 },
     ]
 }

@@ -8,7 +8,6 @@ use netalignmc::matching::approx::{
     greedy_matching, parallel_local_dominant, parallel_suitor, path_growing_matching,
     serial_local_dominant, serial_suitor, InitStrategy, ParallelLdOptions,
 };
-use netalignmc::matching::distributed::distributed_local_dominant;
 use netalignmc::matching::exact::{
     auction_matching, brute_force_matching, hungarian_matching, max_weight_matching_ssp,
     verify_optimality, AuctionOptions,
@@ -75,11 +74,10 @@ proptest! {
         prop_assert_eq!(&gr, &ser);
         prop_assert_eq!(&gr, &par);
         prop_assert_eq!(&gr, &par1);
-        // The proposal-based and message-passing constructions land on
-        // the same unique matching too.
+        // The proposal-based constructions land on the same unique
+        // matching too.
         prop_assert_eq!(&gr, &serial_suitor(&l, l.weights()));
         prop_assert_eq!(&gr, &parallel_suitor(&l, l.weights()));
-        prop_assert_eq!(&gr, &distributed_local_dominant(&l, l.weights(), 3));
     }
 
     #[test]

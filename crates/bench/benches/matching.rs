@@ -9,9 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netalign_data::standins::StandIn;
 use netalign_data::synthetic::{power_law_alignment, PowerLawParams};
-use netalign_matching::{
-    max_weight_matching, MatcherCounters, MatcherEngine, MatcherKind, RoundingMatcher,
-};
+use netalign_matching::{max_weight_matching, MatcherCounters, MatcherEngine, MatcherKind};
 use std::hint::black_box;
 
 fn bench_matchers(c: &mut Criterion) {
@@ -26,8 +24,6 @@ fn bench_matchers(c: &mut Criterion) {
         MatcherKind::LocalDominant,
         MatcherKind::ParallelLocalDominant,
         MatcherKind::ParallelLocalDominantOneSide,
-        MatcherKind::Suitor,
-        MatcherKind::ParallelSuitor,
         MatcherKind::PathGrowing,
         MatcherKind::Auction { eps_rel: 1e-3 },
     ] {
@@ -40,11 +36,11 @@ fn bench_matchers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The preallocated matcher engine on a power-law instance: lock-free
-/// Suitor vs queue-based parallel LD over a weight sequence. The legacy
-/// one-shot `ParallelLocalDominant` (fresh allocations every call) is
-/// the baseline.
-fn bench_engine_vs_legacy(c: &mut Criterion) {
+/// The matcher engine on a power-law instance: its two preallocated
+/// kinds, queue-based parallel LD and sequential greedy, over a weight
+/// sequence. The one-shot `ParallelLocalDominant` (fresh allocations
+/// every call) is the baseline.
+fn bench_engine_vs_one_shot(c: &mut Criterion) {
     let inst = power_law_alignment(&PowerLawParams {
         n: 4000,
         expected_degree: 8.0,
@@ -67,7 +63,7 @@ fn bench_engine_vs_legacy(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("matcher-engine");
     group.sample_size(10);
-    group.bench_function("legacy-ld-parallel", |b| {
+    group.bench_function("one-shot-ld-parallel", |b| {
         b.iter(|| {
             for w in &seq {
                 black_box(max_weight_matching(
@@ -78,11 +74,8 @@ fn bench_engine_vs_legacy(c: &mut Criterion) {
             }
         })
     });
-    for (name, kind) in [
-        ("engine-ld", RoundingMatcher::Ld),
-        ("engine-suitor", RoundingMatcher::Suitor),
-    ] {
-        group.bench_function(name, |b| {
+    for kind in [MatcherKind::ParallelLocalDominant, MatcherKind::Greedy] {
+        group.bench_function(format!("engine-{}", kind.name()), |b| {
             let mut eng = MatcherEngine::new(&l, kind);
             let counters = MatcherCounters::disabled();
             b.iter(|| {
@@ -121,7 +114,7 @@ fn bench_matching_scaling_with_size(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matchers,
-    bench_engine_vs_legacy,
+    bench_engine_vs_one_shot,
     bench_matching_scaling_with_size
 );
 criterion_main!(benches);

@@ -31,7 +31,7 @@ use netalign_core::problem::NetAlignProblem;
 use netalign_core::result::AlignmentResult;
 use netalign_core::trace::Json;
 use netalign_data::standins::StandIn;
-use netalign_matching::RoundingMatcher;
+use netalign_matching::MatcherKind;
 use std::time::Instant;
 
 /// `git rev-parse HEAD`, or `Json::Null` outside a work tree.
@@ -103,7 +103,8 @@ fn main() {
 
     let config = AlignConfig {
         iterations,
-        rounding: Some(RoundingMatcher::Ld),
+        matcher: MatcherKind::ParallelLocalDominant,
+        final_exact_round: true,
         ..AlignConfig::default()
     };
 

@@ -5,9 +5,9 @@
 //! 40 threads, making the matching the scalability limiter.
 //!
 //! Flags: `--scale`, `--iters`, `--seed`, `--threads`,
-//! `--matcher {ld,suitor}` to route the per-iteration rounding through
-//! the preallocated matcher engine (bit-identical results either
-//! way), `--json PATH` to also write the machine-readable report
+//! `--matcher NAME` (a matcher kind name, default `ld-parallel`; the
+//! locally-dominant kinds such as `greedy` give bit-identical
+//! results), `--json PATH` to also write the machine-readable report
 //! (per-thread-count per-step seconds plus the matcher counters;
 //! schema in EXPERIMENTS.md), `--checkpoint DIR` to
 //! snapshot each run into `DIR/t{n}` (a rerun of the same command
@@ -17,9 +17,8 @@
 //! `--max-resident-mb N` bounds the build and exits 6 when infeasible.
 
 use netalign_bench::{
-    completion_json, deadline_harness, harness_for_run, outcome_or_exit, rounding_flags,
-    run_with_threads, standin_problem_or_exit, table::f, thread_sweep, write_json_report_or_exit,
-    Args, Table,
+    completion_json, deadline_harness, harness_for_run, outcome_or_exit, run_with_threads,
+    standin_problem_or_exit, table::f, thread_sweep, write_json_report_or_exit, Args, Table,
 };
 use netalign_core::prelude::*;
 use netalign_core::trace::{Json, Step};
@@ -39,7 +38,7 @@ fn main() {
     let iters = args.usize("iters", 10);
     let seed = args.u64("seed", 11);
     let threads = args.usize_list("threads", thread_sweep());
-    let rf = rounding_flags(&args);
+    let matcher = args.matcher(MatcherKind::ParallelLocalDominant);
     let json_path = args.string("json", "");
     let checkpoint = args.string("checkpoint", "");
     let resume = args.string("resume", "");
@@ -57,8 +56,7 @@ fn main() {
     for &nt in &threads {
         let cfg = AlignConfig {
             iterations: iters,
-            matcher: rf.matcher,
-            rounding: rf.rounding,
+            matcher,
             trace_matcher: true,
             ..Default::default()
         };

@@ -4,9 +4,9 @@
 //! damping ≈ 12% at 40 threads, with damping the limiting step.
 //!
 //! Flags: `--scale`, `--iters`, `--seed`, `--threads`, `--batch`,
-//! `--matcher {ld,suitor}` to route the batched rounding through the
-//! preallocated matcher engine (bit-identical results either way),
-//! `--json PATH` to also write the machine-readable report
+//! `--matcher NAME` (a matcher kind name, default `ld-parallel`; the
+//! locally-dominant kinds such as `greedy` give bit-identical
+//! results), `--json PATH` to also write the machine-readable report
 //! (per-thread-count per-step seconds plus the matcher counters;
 //! schema in EXPERIMENTS.md), `--checkpoint DIR` to
 //! snapshot each run into `DIR/t{n}` (a rerun of the same command
@@ -16,9 +16,8 @@
 //! `--max-resident-mb N` bounds the build and exits 6 when infeasible.
 
 use netalign_bench::{
-    completion_json, deadline_harness, harness_for_run, outcome_or_exit, rounding_flags,
-    run_with_threads, standin_problem_or_exit, table::f, thread_sweep, write_json_report_or_exit,
-    Args, Table,
+    completion_json, deadline_harness, harness_for_run, outcome_or_exit, run_with_threads,
+    standin_problem_or_exit, table::f, thread_sweep, write_json_report_or_exit, Args, Table,
 };
 use netalign_core::prelude::*;
 use netalign_core::trace::{Json, Step};
@@ -40,7 +39,7 @@ fn main() {
     let seed = args.u64("seed", 11);
     let batch = args.usize("batch", 20);
     let threads = args.usize_list("threads", thread_sweep());
-    let rf = rounding_flags(&args);
+    let matcher = args.matcher(MatcherKind::ParallelLocalDominant);
     let json_path = args.string("json", "");
     let checkpoint = args.string("checkpoint", "");
     let resume = args.string("resume", "");
@@ -59,8 +58,7 @@ fn main() {
         let cfg = AlignConfig {
             iterations: iters,
             batch,
-            matcher: rf.matcher,
-            rounding: rf.rounding,
+            matcher,
             trace_matcher: true,
             ..Default::default()
         };

@@ -12,9 +12,9 @@
 //! and reports the wall-clock ratio plus the objective gap.
 //!
 //! Flags: `--scale`, `--iters`, `--seed`, `--threads` (max pool size),
-//! `--matcher {ld,suitor}` to route the approximate configurations'
-//! rounding through the preallocated matcher engine (the exact
-//! baseline is unaffected), `--json PATH` to also write the machine-
+//! `--matcher NAME` to pick the approximate configurations' matcher
+//! (a matcher kind name, default `ld-parallel`; the exact baseline is
+//! unaffected), `--json PATH` to also write the machine-
 //! readable report (one full [`AlignmentResult::report_json`] per
 //! configuration; schema in EXPERIMENTS.md), `--checkpoint DIR` to
 //! snapshot each configuration into its own `DIR/<slug>` subdirectory
@@ -25,8 +25,7 @@
 
 use netalign_bench::{
     available_threads, completion_json, deadline_harness, harness_for_run, outcome_or_exit,
-    rounding_flags, run_with_threads, standin_problem_or_exit, table::f, write_json_report_or_exit,
-    Args, Table,
+    run_with_threads, standin_problem_or_exit, table::f, write_json_report_or_exit, Args, Table,
 };
 use netalign_core::prelude::*;
 use netalign_core::trace::Json;
@@ -40,7 +39,7 @@ fn main() {
     let iters = args.usize("iters", 10);
     let seed = args.u64("seed", 11);
     let max_threads = args.usize("threads", available_threads());
-    let rf = rounding_flags(&args);
+    let approx = args.matcher(MatcherKind::ParallelLocalDominant);
     let json_path = args.string("json", "");
     let checkpoint = args.string("checkpoint", "");
     let resume = args.string("resume", "");
@@ -52,39 +51,20 @@ fn main() {
     );
 
     let runs = [
-        (
-            "BP exact, 1 thread",
-            "exact-t1",
-            MatcherKind::Exact,
-            None,
-            1usize,
-        ),
-        (
-            "BP approx, 1 thread",
-            "approx-t1",
-            rf.matcher,
-            rf.rounding,
-            1,
-        ),
-        (
-            "BP approx, max threads",
-            "approx-tmax",
-            rf.matcher,
-            rf.rounding,
-            max_threads,
-        ),
+        ("BP exact, 1 thread", "exact-t1", MatcherKind::Exact, 1usize),
+        ("BP approx, 1 thread", "approx-t1", approx, 1),
+        ("BP approx, max threads", "approx-tmax", approx, max_threads),
     ];
 
     println!("Headline — exact/serial vs approximate/parallel BP ({iters} iters)\n");
     let mut t = Table::new(&["configuration", "threads", "seconds", "objective"]);
     let mut results = Vec::new();
     let mut reports = Vec::new();
-    for (name, slug, matcher, rounding, nt) in runs {
+    for (name, slug, matcher, nt) in runs {
         let cfg = AlignConfig {
             iterations: iters,
             batch: 20,
             matcher,
-            rounding,
             trace_matcher: true,
             ..Default::default()
         };

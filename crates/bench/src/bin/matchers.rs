@@ -63,8 +63,6 @@ fn main() {
         MatcherKind::LocalDominant,
         MatcherKind::ParallelLocalDominant,
         MatcherKind::ParallelLocalDominantOneSide,
-        MatcherKind::Suitor,
-        MatcherKind::ParallelSuitor,
         MatcherKind::PathGrowing,
         MatcherKind::Auction { eps_rel: 1e-4 },
     ] {
@@ -89,6 +87,6 @@ fn main() {
         ]);
     }
     t.print();
-    println!("\nAll locally-dominant-family rows (greedy, ld-*, suitor*) report the");
+    println!("\nAll locally-dominant-family rows (greedy, ld-*) report the");
     println!("same weight: the matching is unique under the total edge order.");
 }

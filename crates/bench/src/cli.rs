@@ -1,7 +1,7 @@
 //! Minimal `--key value` argument parsing for the experiment binaries
 //! (no external CLI crate needed).
 
-use netalign_matching::{MatcherKind, RoundingMatcher};
+use netalign_matching::MatcherKind;
 use std::collections::HashMap;
 
 /// Parsed `--key value` flags.
@@ -101,6 +101,15 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
+    /// Get the `--matcher` flag, a [`MatcherKind::name`], with default.
+    pub fn matcher(&self, default: MatcherKind) -> MatcherKind {
+        match self.flags.get("matcher") {
+            None => default,
+            Some(name) => MatcherKind::from_name(name)
+                .unwrap_or_else(|| panic!("--matcher must name a matcher kind, got '{name}'")),
+        }
+    }
+
     /// Get a boolean flag with default (`--flag true|false`).
     pub fn bool(&self, key: &str, default: bool) -> bool {
         self.flags
@@ -112,33 +121,6 @@ impl Args {
             })
             .unwrap_or(default)
     }
-}
-
-/// The matcher configuration the figure binaries share: which matcher
-/// rounds the iterates, and whether the preallocated engine backs it.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundingFlags {
-    /// Legacy one-shot matcher kind (also used by the final rounding).
-    pub matcher: MatcherKind,
-    /// Engine selection for [`netalign_core::AlignConfig::rounding`].
-    pub rounding: Option<RoundingMatcher>,
-}
-
-/// Parse the `--matcher {ld,suitor}` flag shared by `fig6`, `fig7` and
-/// `headline`. Without `--matcher` the legacy queue-based parallel LD
-/// path is kept.
-pub fn rounding_flags(args: &Args) -> RoundingFlags {
-    let name = args.string("matcher", "");
-    let (matcher, rounding) = match name.as_str() {
-        "" => (MatcherKind::ParallelLocalDominant, None),
-        "ld" => (
-            MatcherKind::ParallelLocalDominant,
-            Some(RoundingMatcher::Ld),
-        ),
-        "suitor" => (MatcherKind::ParallelSuitor, Some(RoundingMatcher::Suitor)),
-        other => panic!("--matcher must be 'ld' or 'suitor', got '{other}'"),
-    };
-    RoundingFlags { matcher, rounding }
 }
 
 #[cfg(test)]
@@ -193,20 +175,20 @@ mod tests {
     }
 
     #[test]
-    fn rounding_flags_default_is_legacy() {
-        let rf = rounding_flags(&args(&[]));
-        assert_eq!(rf.matcher, MatcherKind::ParallelLocalDominant);
-        assert_eq!(rf.rounding, None);
+    fn matcher_flag_parses_kind_names() {
+        assert_eq!(
+            args(&[]).matcher(MatcherKind::ParallelLocalDominant),
+            MatcherKind::ParallelLocalDominant
+        );
+        assert_eq!(
+            args(&["--matcher", "greedy"]).matcher(MatcherKind::Exact),
+            MatcherKind::Greedy
+        );
     }
 
     #[test]
-    fn rounding_flags_select_engines() {
-        let rf = rounding_flags(&args(&["--matcher", "suitor"]));
-        assert_eq!(rf.matcher, MatcherKind::ParallelSuitor);
-        assert_eq!(rf.rounding, Some(RoundingMatcher::Suitor));
-
-        let rf = rounding_flags(&args(&["--matcher", "ld"]));
-        assert_eq!(rf.matcher, MatcherKind::ParallelLocalDominant);
-        assert_eq!(rf.rounding, Some(RoundingMatcher::Ld));
+    #[should_panic(expected = "--matcher must name a matcher kind")]
+    fn removed_matcher_shorthand_panics() {
+        let _ = args(&["--matcher", "ld"]).matcher(MatcherKind::Exact);
     }
 }

@@ -8,7 +8,7 @@ pub mod pool;
 pub mod report;
 pub mod table;
 
-pub use cli::{rounding_flags, Args, RoundingFlags};
+pub use cli::Args;
 pub use model::{amdahl_speedup, paper_model_speedup};
 pub use ooc::standin_problem_or_exit;
 pub use pool::{available_threads, bench_pools, bench_scale, run_with_threads, thread_sweep};

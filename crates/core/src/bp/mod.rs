@@ -12,9 +12,11 @@
 //!    pattern minus `F`;
 //! 5. damping: iterates interpolate toward the previous ones with
 //!    weight `γᵏ` (which decays to zero, freezing the messages);
-//! 6. rounding: `round_heuristic(y⁽ᵏ⁾)` and `round_heuristic(z⁽ᵏ⁾)` —
-//!    immediately for `batch = 1`, or deferred into batches of `r`
-//!    vectors rounded concurrently for `BP(batch = r)`.
+//! 6. rounding: match `y⁽ᵏ⁾` and `z⁽ᵏ⁾` with the configured matcher
+//!    and evaluate the objective — immediately for `batch = 1`, or
+//!    deferred into batches of `r` iterations for `BP(batch = r)`.
+//!    Either way the staged vectors are rounded concurrently, one
+//!    contiguous run per rounding lane.
 //!
 //! Steps 1 and 2 are **fused** into one row-parallel sweep over the
 //! pattern of `S`: each row of `F` is written and summed in the same
@@ -24,6 +26,8 @@
 //! The rounding step is the only place the matching algorithm appears;
 //! the iterates themselves are independent of it (paper §VII), which is
 //! why approximate matching barely changes BP's solution quality.
+//! Every rounding lane owns one [`MatcherEngine`] of
+//! [`AlignConfig::matcher`]'s kind.
 //!
 //! All state lives in a [`BpEngine`]: buffers are allocated once in
 //! [`BpEngine::new`] and the steady-state loop
@@ -36,18 +40,18 @@ pub mod othermax;
 
 use crate::checkpoint::BpState;
 use crate::config::AlignConfig;
-use crate::objective::{evaluate_matching, evaluate_matching_with_scratch};
+use crate::objective::{evaluate_matching, evaluate_matching_with_scratch, ObjectiveValue};
 use crate::oocore::{OocError, OocOptions, OocState, Superblock};
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
-use crate::rounding::{round_batch_traced, round_heuristic};
+use crate::rounding::{round_heuristic, RoundedSolution};
 use crate::rowspans::RowSpans;
 use crate::squares::SquaresMatrix;
 use crate::trace::{faults, MatcherCounters, RunTrace, Step};
 use netalign_graph::mmap::Advice;
 use netalign_graph::nacs::Section;
 use netalign_graph::VertexId;
-use netalign_matching::{MatcherEngine, MatcherKind, Matching, RoundingMatcher};
+use netalign_matching::{max_weight_matching_traced, MatcherEngine, MatcherKind, Matching};
 use othermax::{column_positions, othermaxcol_into, othermaxrow_into};
 use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
@@ -140,12 +144,11 @@ pub struct BpEngine<'a> {
     pending_iter: Vec<usize>,
     pending_bufs: Vec<Vec<f64>>,
     buf_pool: Vec<Vec<f64>>,
-    // Engine-mode rounding (config.rounding set): one preallocated
-    // matcher engine rounds every staged vector, y and z alike. `None`
-    // in legacy mode. `eval_marks` is the all-false scratch for the
-    // allocation-free objective evaluation of each rounded iterate.
-    rounding: Option<MatcherEngine>,
-    eval_marks: Vec<bool>,
+    // Rounding lanes, one matcher engine of `config.matcher`'s kind
+    // each, at most one per pool thread: a flush splits its staged
+    // vectors, y and z alike, into one contiguous run per lane and
+    // rounds the runs concurrently.
+    lanes: Vec<RoundingLane>,
     // Degradation-ladder override of `config.batch` (rung 1): the
     // harness escalates the rounding batch under deadline pressure,
     // trading rounding frequency for time exactly like the paper's
@@ -165,6 +168,33 @@ pub struct BpEngine<'a> {
     trace: RunTrace,
     counters: MatcherCounters,
     history: Vec<IterationRecord>,
+}
+
+/// One rounding lane of [`BpEngine`]: a matcher engine, the all-false
+/// scratch of its allocation-free objective evaluation, and the values
+/// of the vectors it rounded in the current flush, in staging order.
+struct RoundingLane {
+    engine: MatcherEngine,
+    marks: Vec<bool>,
+    values: Vec<ObjectiveValue>,
+}
+
+impl RoundingLane {
+    /// Match the heuristic vector `g`, evaluate the matching under
+    /// `config`'s α and β, and keep the value.
+    fn round(
+        &mut self,
+        p: &NetAlignProblem,
+        config: &AlignConfig,
+        g: &[f64],
+        counters: &MatcherCounters,
+    ) -> (&Matching, ObjectiveValue) {
+        let m = self.engine.run(&p.l, g, counters);
+        let value =
+            evaluate_matching_with_scratch(p, m, config.alpha, config.beta, &mut self.marks);
+        self.values.push(value);
+        (m, value)
+    }
 }
 
 impl<'a> BpEngine<'a> {
@@ -232,8 +262,13 @@ impl<'a> BpEngine<'a> {
             pending_iter: Vec::with_capacity(batch_cap),
             pending_bufs: Vec::with_capacity(batch_cap),
             buf_pool: Vec::with_capacity(batch_cap),
-            rounding: config.rounding.map(|kind| MatcherEngine::new(&p.l, kind)),
-            eval_marks: vec![false; if config.rounding.is_some() { m } else { 0 }],
+            lanes: (0..rayon::current_num_threads().min(2 * config.batch.max(1)))
+                .map(|_| RoundingLane {
+                    engine: MatcherEngine::new(&p.l, config.matcher),
+                    marks: vec![false; m],
+                    values: Vec::with_capacity(batch_cap),
+                })
+                .collect(),
             batch_override: None,
             best: None,
             best_g: vec![0.0; m],
@@ -595,25 +630,16 @@ impl<'a> BpEngine<'a> {
         self.batch_override = Some((self.effective_batch() * 2).min(64));
     }
 
-    /// Degradation-ladder rung 2: route every further rounding through
-    /// a lock-free Suitor engine, dropping the legacy allocate-per-call
-    /// path if it was in use. A no-op when the engine already rounds
-    /// that way; otherwise the replacement engine allocates once.
-    /// Suitor is not cheaper than LD on every instance, so whether this
-    /// rung saves time is an open question (EXPERIMENTS.md, matcher
-    /// engine section).
+    /// Degradation-ladder rung 2: round every further iterate with the
+    /// sequential greedy matcher. For the locally-dominant matchers
+    /// greedy returns the same unique matching, only faster, so the
+    /// rung changes no result bit. A no-op when the engine already
+    /// rounds greedily; otherwise the replacement engine allocates once.
     pub fn force_cheap_rounding(&mut self) {
-        if self
-            .rounding
-            .as_ref()
-            .is_some_and(|e| e.kind() == RoundingMatcher::Suitor)
-        {
-            return;
-        }
-        self.rounding = Some(MatcherEngine::new(&self.p.l, RoundingMatcher::Suitor));
-        let m = self.p.l.num_edges();
-        if self.eval_marks.len() != m {
-            self.eval_marks = vec![false; m];
+        for lane in &mut self.lanes {
+            if lane.engine.kind() != MatcherKind::Greedy {
+                lane.engine = MatcherEngine::new(&self.p.l, MatcherKind::Greedy);
+            }
         }
     }
 
@@ -626,55 +652,84 @@ impl<'a> BpEngine<'a> {
         self.buf_pool.append(&mut self.pending_bufs);
     }
 
-    /// Round every staged iterate concurrently (`BP(batch = r)`),
-    /// update the incumbent, and recycle the staging buffers.
+    /// Round every staged iterate (`BP(batch = r)`), update the
+    /// incumbent in staging order, and recycle the staging buffers.
+    /// The staged vectors are independent tasks, as in the paper: the
+    /// lanes round one contiguous run each, concurrently, and a
+    /// parallel matcher nests its own parallelism on its lane's share
+    /// of the pool. Zero steady-state allocation with the preallocated
+    /// matchers. With a trajectory recorder attached, which keeps every
+    /// stage's matching, the first lane rounds the whole flush.
     pub fn round_pending(&mut self) {
         if self.pending_iter.is_empty() {
             return;
         }
         let t0 = Instant::now();
-        if self.rounding.is_some() {
-            self.round_pending_with_engine(t0);
-            self.post_round_release();
-            return;
-        }
-        let rounded = round_batch_traced(
-            self.p,
-            &self.pending_bufs,
-            self.config.alpha,
-            self.config.beta,
-            self.config.matcher,
-            &self.counters,
-        );
-        self.trace.algo.rounding_invocations += 1;
-        self.trace
+        let (config, record_history) = (self.config, self.config.record_history);
+        let Self {
+            p,
+            pending_iter,
+            pending_bufs,
+            buf_pool,
+            lanes,
+            counters,
+            history,
+            best,
+            best_g,
+            recorder,
+            trace,
+            ..
+        } = self;
+        trace.algo.rounding_invocations += 1;
+        trace
             .algo
             .rounding_batch_sizes
-            .push(self.pending_bufs.len() as u64);
-        for ((&iter_k, g), r) in self
-            .pending_iter
-            .iter()
-            .zip(&self.pending_bufs)
-            .zip(&rounded)
-        {
-            if self.config.record_history {
-                self.history.push(IterationRecord {
+            .push(pending_bufs.len() as u64);
+        lanes.iter_mut().for_each(|lane| lane.values.clear());
+        if let Some(rec) = recorder.as_mut() {
+            for (idx, (&iter_k, g)) in pending_iter.iter().zip(pending_bufs.iter()).enumerate() {
+                let (m, value) = lanes[0].round(p, config, g, counters);
+                rec.record_stage(iter_k, idx % 2, m, value);
+            }
+        } else {
+            let (per_lane, staged) = (pending_bufs.len().div_ceil(lanes.len()), &*pending_bufs);
+            // The lanes split the pool: each lane's matcher runs its
+            // nested parallel regions on its share of the threads, so
+            // concurrent lanes do not recruit workers beyond the pool.
+            // (A vendored-rayon pool is only a thread-count scope, so
+            // building one allocates nothing.)
+            let share = rayon::ThreadPoolBuilder::new()
+                .num_threads((rayon::current_num_threads() / lanes.len()).max(1))
+                .build()
+                .expect("the vendored thread pool builder is infallible");
+            lanes.par_iter_mut().enumerate().for_each(|(i, lane)| {
+                share.install(|| {
+                    for g in staged.iter().skip(i * per_lane).take(per_lane) {
+                        lane.round(p, config, g, counters);
+                    }
+                })
+            });
+        }
+        let values = lanes.iter().flat_map(|lane| &lane.values);
+        for ((&iter_k, g), v) in pending_iter.iter().zip(pending_bufs.iter()).zip(values) {
+            if record_history {
+                history.push(IterationRecord {
                     iteration: iter_k,
-                    objective: r.value.total,
-                    weight: r.value.weight,
-                    overlap: r.value.overlap,
+                    objective: v.total,
+                    weight: v.weight,
+                    overlap: v.overlap,
                     upper_bound: None,
                 });
             }
-            if self.best.is_none_or(|(b, _)| r.value.total > b) {
-                self.best = Some((r.value.total, iter_k));
-                self.best_g.copy_from_slice(g);
-                self.trace.algo.best_improvements += 1;
+            if best.is_none_or(|(b, _)| v.total > b) {
+                *best = Some((v.total, iter_k));
+                best_g.copy_from_slice(g);
+                trace.algo.best_improvements += 1;
             }
         }
-        self.pending_iter.clear();
-        self.buf_pool.append(&mut self.pending_bufs);
-        self.trace.add(Step::Match, t0.elapsed());
+        pending_iter.clear();
+        buf_pool.append(pending_bufs);
+        trace.add(Step::Match, t0.elapsed());
         self.post_round_release();
     }
 
@@ -691,73 +746,13 @@ impl<'a> BpEngine<'a> {
         }
     }
 
-    /// Engine-mode tail of [`BpEngine::round_pending`]: route each
-    /// staged vector through the preallocated matcher engine and
-    /// evaluate through the mark scratch. Same bookkeeping as the
-    /// legacy path, zero steady-state allocation.
-    fn round_pending_with_engine(&mut self, t0: Instant) {
-        let (alpha, beta) = (self.config.alpha, self.config.beta);
-        let record_history = self.config.record_history;
-        let Self {
-            p,
-            pending_iter,
-            pending_bufs,
-            buf_pool,
-            rounding,
-            eval_marks,
-            counters,
-            history,
-            best,
-            best_g,
-            recorder,
-            trace,
-            ..
-        } = self;
-        trace.algo.rounding_invocations += 1;
-        trace
-            .algo
-            .rounding_batch_sizes
-            .push(pending_bufs.len() as u64);
-        let engine = rounding.as_mut().expect("engine-mode rounding");
-        for (idx, (&iter_k, g)) in pending_iter.iter().zip(pending_bufs.iter()).enumerate() {
-            let matching = engine.run(&p.l, g, counters);
-            let value = evaluate_matching_with_scratch(p, matching, alpha, beta, eval_marks);
-            if let Some(rec) = recorder.as_mut() {
-                rec.record_stage(iter_k, idx % 2, matching, value);
-            }
-            if record_history {
-                history.push(IterationRecord {
-                    iteration: iter_k,
-                    objective: value.total,
-                    weight: value.weight,
-                    overlap: value.overlap,
-                    upper_bound: None,
-                });
-            }
-            if best.is_none_or(|(b, _)| value.total > b) {
-                *best = Some((value.total, iter_k));
-                best_g.copy_from_slice(g);
-                trace.algo.best_improvements += 1;
-            }
-        }
-        pending_iter.clear();
-        buf_pool.append(pending_bufs);
-        trace.add(Step::Match, t0.elapsed());
-    }
-
     /// Close the current iteration's trace row.
     pub fn end_iteration(&mut self) {
         self.trace.end_iteration();
     }
 
     /// Attach a trajectory recorder (incremental re-alignment support).
-    /// Requires engine-mode rounding: the legacy `round_batch_traced`
-    /// path does not drive the stage hook.
     pub fn set_recorder(&mut self, recorder: crate::delta::TrajectoryRecorder) {
-        assert!(
-            self.rounding.is_some(),
-            "trajectory recording requires engine-mode rounding (config.rounding)"
-        );
         assert!(
             self.ooc.is_none(),
             "trajectory recording is not supported in out-of-core mode"
@@ -1007,8 +1002,9 @@ fn damp(cur: &mut [f64], prev: &mut [f64], gk: f64) {
         });
 }
 
-/// Shared tail of both aligners: optional final exact rounding of the
-/// best heuristic, then assemble the result.
+/// Shared tail of both aligners: round the best heuristic — with the
+/// exact matcher when the final exact round keeps it, otherwise with
+/// the configured matcher — then assemble the result.
 pub(crate) fn finalize(
     p: &NetAlignProblem,
     config: &AlignConfig,
@@ -1022,17 +1018,13 @@ pub(crate) fn finalize(
     // succeeded, so `best` is always `Some` by the time it gets here.
     let (best_obj, best_g, best_iter) = best.expect("finish() always supplies an incumbent");
     let t0 = Instant::now();
-    let matching = netalign_matching::max_weight_matching_traced(
-        &p.l,
-        &best_g,
-        config.matcher,
-        matcher_counters,
-    );
-    let matching = exact_final_round(p, config, &best_g, best_obj, matching);
+    let RoundedSolution { matching, value } =
+        exact_final_round(p, config, &best_g, best_obj, || {
+            max_weight_matching_traced(&p.l, &best_g, config.matcher, matcher_counters)
+        });
     trace.add(Step::Match, t0.elapsed());
     trace.matcher = matcher_counters.snapshot();
     trace.stamp_peak_rss();
-    let value = evaluate_matching(p, &matching, config.alpha, config.beta);
     AlignmentResult {
         matching,
         objective: value.total,
@@ -1047,22 +1039,26 @@ pub(crate) fn finalize(
 
 /// The paper's closing step (§VII): with `final_exact_round` and a
 /// heuristic matcher, round the best iterate `best_g` once more with
-/// the exact matcher, and keep that matching over `matching` when its
-/// objective is at least the incumbent's `best_obj`.
+/// the exact matcher, and return that rounding when its objective is
+/// at least the incumbent's `best_obj`. The exact candidate goes
+/// first, so the configured matcher's rounding of `best_g`, the
+/// `incumbent` matching, is computed (and evaluated) only when needed.
 pub(crate) fn exact_final_round(
     p: &NetAlignProblem,
     config: &AlignConfig,
     best_g: &[f64],
     best_obj: f64,
-    matching: Matching,
-) -> Matching {
+    incumbent: impl FnOnce() -> Matching,
+) -> RoundedSolution {
     if config.final_exact_round && config.matcher != MatcherKind::Exact {
         let exact = round_heuristic(p, best_g, config.alpha, config.beta, MatcherKind::Exact);
         if exact.value.total >= best_obj {
-            return exact.matching;
+            return exact;
         }
     }
-    matching
+    let matching = incumbent();
+    let value = evaluate_matching(p, &matching, config.alpha, config.beta);
+    RoundedSolution { matching, value }
 }
 
 #[cfg(test)]
@@ -1222,41 +1218,45 @@ mod tests {
         assert_eq!(via_wrapper.best_iteration, manual.best_iteration);
     }
 
-    /// The preallocated rounding engine — LD or Suitor — reproduces the
-    /// legacy `ParallelLocalDominant` run bit-for-bit: same incumbent,
-    /// same matching, same per-rounding history.
+    /// Every matcher of the locally-dominant family — the preallocated
+    /// greedy engine, the one-shot serial and one-side LD — reproduces
+    /// the parallel-LD engine run bit for bit: same incumbent, same
+    /// matching, same per-rounding history.
     #[test]
-    fn engine_rounding_matches_legacy_parallel_ld() {
-        use netalign_matching::RoundingMatcher;
+    fn locally_dominant_matchers_round_identically() {
         let g = power_law_graph(40, 2.5, 10, 25);
         let a = add_random_edges(&g, 0.02, 26);
         let b = add_random_edges(&g, 0.02, 27);
         let l = identity_plus_noise_l(40, 40, 4.0 / 40.0, 1.0, 1.0, 28);
         let p = NetAlignProblem::new(a, b, l);
         for batch in [1, 4] {
-            let legacy_cfg = AlignConfig {
+            let ld_cfg = AlignConfig {
                 iterations: 15,
                 batch,
                 matcher: MatcherKind::ParallelLocalDominant,
                 record_history: true,
                 ..Default::default()
             };
-            let legacy = belief_propagation(&p, &legacy_cfg);
-            for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
+            let ld = belief_propagation(&p, &ld_cfg);
+            for kind in [
+                MatcherKind::Greedy,
+                MatcherKind::LocalDominant,
+                MatcherKind::ParallelLocalDominantOneSide,
+            ] {
                 let cfg = AlignConfig {
-                    rounding: Some(kind),
-                    ..legacy_cfg
+                    matcher: kind,
+                    ..ld_cfg
                 };
                 let r = belief_propagation(&p, &cfg);
                 assert_eq!(
                     r.objective.to_bits(),
-                    legacy.objective.to_bits(),
+                    ld.objective.to_bits(),
                     "batch {batch}, {kind:?}"
                 );
-                assert_eq!(r.matching, legacy.matching);
-                assert_eq!(r.best_iteration, legacy.best_iteration);
-                assert_eq!(r.history.len(), legacy.history.len());
-                for (h, lh) in r.history.iter().zip(&legacy.history) {
+                assert_eq!(r.matching, ld.matching);
+                assert_eq!(r.best_iteration, ld.best_iteration);
+                assert_eq!(r.history.len(), ld.history.len());
+                for (h, lh) in r.history.iter().zip(&ld.history) {
                     assert_eq!(h.iteration, lh.iteration);
                     assert_eq!(h.objective.to_bits(), lh.objective.to_bits());
                 }

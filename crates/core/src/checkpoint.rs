@@ -13,10 +13,10 @@
 //!
 //! # File format (version 2)
 //!
-//! Version 2 extends the matcher-counter block with the Suitor
-//! counters (`proposals`, `displacements`) and two slots,
-//! `warm_hits` and `reseeded_vertices`, that are always written as 0
-//! since rounding stopped warm-starting; version-1 files are rejected
+//! Version 2 extends the matcher-counter block with four slots that
+//! are always written as 0: `proposals` and `displacements` (the
+//! Suitor matchers are gone) and `warm_hits` and `reseeded_vertices`
+//! (rounding stopped warm-starting); version-1 files are rejected
 //! with [`CheckpointError::VersionMismatch`]. Little-endian throughout:
 //!
 //! ```text
@@ -316,7 +316,7 @@ pub use netalign_graph::nacs::fnv1a64;
 /// different checkpoint interval than the original run.
 pub fn config_fingerprint(config: &AlignConfig) -> u64 {
     let canonical = format!(
-        "alpha={};beta={};gamma={};iterations={};mstep={};batch={};matcher={:?};damping={:?};enriched={};final_exact={};guards={};rounding={:?}",
+        "alpha={};beta={};gamma={};iterations={};mstep={};batch={};matcher={:?};damping={:?};enriched={};final_exact={};guards={}",
         config.alpha.to_bits(),
         config.beta.to_bits(),
         config.gamma.to_bits(),
@@ -328,7 +328,6 @@ pub fn config_fingerprint(config: &AlignConfig) -> u64 {
         config.enriched_rounding,
         config.final_exact_round,
         config.numeric_guards,
-        config.rounding,
     );
     fnv1a64(canonical.as_bytes())
 }

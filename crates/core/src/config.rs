@@ -1,6 +1,6 @@
 //! Run configuration shared by the BP and MR aligners.
 
-use netalign_matching::{MatcherKind, RoundingMatcher};
+use netalign_matching::MatcherKind;
 use std::time::Duration;
 
 /// How BP's messages are damped toward the previous iterate (the paper
@@ -83,7 +83,7 @@ impl Default for CheckpointPolicy {
 /// incumbent with a `DeadlineBestSoFar` completion. The budget also
 /// feeds the graceful-degradation ladder: an EWMA of per-iteration cost
 /// is compared against the remaining time, and the harness sheds
-/// rounding work (larger BP batches, a forced switch to Suitor rounding)
+/// rounding work (larger BP batches, a forced switch to greedy rounding)
 /// *before* the deadline instead of dying at it.
 ///
 /// Wall-clock pressure only ever decides *when* the run stops or
@@ -144,7 +144,11 @@ pub struct AlignConfig {
     /// BP only: rounding batch size `r` (`BP(batch=r)`); 1 rounds every
     /// iterate immediately.
     pub batch: usize,
-    /// Matching algorithm used inside the rounding step.
+    /// Matching algorithm used inside the rounding step: every iterate
+    /// and the final rounding go through it. MR builds one
+    /// [`netalign_matching::MatcherEngine`] of this kind per run, BP one
+    /// per rounding lane; the parallel locally-dominant and greedy kinds
+    /// round without steady-state allocation.
     pub matcher: MatcherKind,
     /// BP only: damping variant (the paper uses [`DampingKind::Power`]).
     pub damping: DampingKind,
@@ -164,15 +168,6 @@ pub struct AlignConfig {
     /// the enabled path adds relaxed atomic traffic inside the matcher;
     /// disabled it costs one predictable branch per event.
     pub trace_matcher: bool,
-    /// Route the per-iteration rounding matchings through a
-    /// preallocated [`netalign_matching::MatcherEngine`] of the given
-    /// kind instead of the one-shot [`MatcherKind`] dispatch. `None`
-    /// (the default) keeps the legacy path; `Some(RoundingMatcher::Ld)`
-    /// computes the *same* matching as
-    /// [`MatcherKind::ParallelLocalDominant`] bit-for-bit, without the
-    /// per-call allocations. The final rounding in `finalize` still
-    /// uses [`AlignConfig::matcher`].
-    pub rounding: Option<RoundingMatcher>,
     /// Numerical guard rails: finite-check the iterate at the end of
     /// every iteration and, on a non-finite value, roll back to the
     /// last finite iterate and tighten the damping/step size (BP:
@@ -203,7 +198,6 @@ impl Default for AlignConfig {
             final_exact_round: false,
             record_history: false,
             trace_matcher: false,
-            rounding: None,
             numeric_guards: true,
             checkpoint: CheckpointPolicy::disabled(),
         }
@@ -273,15 +267,6 @@ mod tests {
     fn rejects_zero_batch() {
         AlignConfig {
             batch: 0,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    fn engine_config_is_valid() {
-        AlignConfig {
-            rounding: Some(RoundingMatcher::Suitor),
             ..Default::default()
         }
         .validate();

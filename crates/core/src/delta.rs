@@ -32,11 +32,12 @@
 //! boundary and hands the rest of the run to a real [`BpEngine`] —
 //! still bit-identical, just no longer sparse.
 //!
-//! Limits: replay requires engine-mode rounding (`config.rounding`)
-//! and a base run free of numeric recoveries (a recovery halves the
-//! engine-local damping base mid-run, which the replay does not
-//! model). Recorded trajectories cost `T·(2·|E_L| + nnz(S))` floats —
-//! record deliberately.
+//! Limits: replay requires a locally-dominant matcher
+//! ([`netalign_matching::MatcherKind::is_locally_dominant`]), whose
+//! matching the greedy rematcher reproduces, and a base run free of
+//! numeric recoveries (a recovery halves the engine-local damping base
+//! mid-run, which the replay does not model). Recorded trajectories
+//! cost `T·(2·|E_L| + nnz(S))` floats — record deliberately.
 
 use crate::bp::othermax::{column_positions, max2};
 use crate::bp::BpEngine;
@@ -349,7 +350,7 @@ pub struct DeltaBase {
 
 impl DeltaBase {
     /// Run a recorded cold solve of `problem` and bundle the base.
-    /// Requires engine-mode rounding and a recovery-free run.
+    /// Requires a locally-dominant matcher and a recovery-free run.
     pub fn record(
         problem: NetAlignProblem,
         config: AlignConfig,
@@ -429,9 +430,9 @@ pub fn record_bp(
     problem: &NetAlignProblem,
     config: &AlignConfig,
 ) -> Result<(AlignmentResult, BpTrajectory), DeltaError> {
-    if config.rounding.is_none() {
+    if !config.matcher.is_locally_dominant() {
         return Err(DeltaError::Unsupported(
-            "trajectory recording requires engine-mode rounding (config.rounding)".into(),
+            "trajectory recording requires a locally-dominant matcher".into(),
         ));
     }
     if config.iterations == 0 {
@@ -562,9 +563,9 @@ pub fn replay_bp(
     trajectory: &mut BpTrajectory,
     delta: &ProblemDelta,
 ) -> Result<ReplayOutput, DeltaError> {
-    if config.rounding.is_none() {
+    if !config.matcher.is_locally_dominant() {
         return Err(DeltaError::Unsupported(
-            "delta replay requires engine-mode rounding (config.rounding)".into(),
+            "delta replay requires a locally-dominant matcher".into(),
         ));
     }
     if trajectory.numeric_recoveries > 0 {
@@ -1000,8 +1001,8 @@ fn replay_sparse(
             } else {
                 // Sequential greedy instead of the parallel engines:
                 // the matching is pool-invariant (greedy over the
-                // strict total order ≡ locally-dominant ≡ Suitor, see
-                // the matching crate's equivalence suite), and one
+                // strict total order ≡ locally-dominant, see the
+                // matching crate's equivalence suite), and one
                 // sort plus a linear pass is far cheaper per stage
                 // than the queue-based machinery the cold run needs
                 // for parallelism it cannot use mid-replay anyway.
@@ -1116,7 +1117,7 @@ mod tests {
     use super::*;
     use crate::bp::belief_propagation;
     use netalign_graph::generators::{add_random_edges, identity_plus_noise_l, power_law_graph};
-    use netalign_matching::RoundingMatcher;
+    use netalign_matching::MatcherKind;
 
     fn instance(n: usize, seed: u64) -> NetAlignProblem {
         let g = power_law_graph(n, 2.5, 12, seed);
@@ -1130,7 +1131,8 @@ mod tests {
         AlignConfig {
             iterations,
             batch,
-            rounding: Some(RoundingMatcher::Ld),
+            matcher: MatcherKind::ParallelLocalDominant,
+            final_exact_round: true,
             record_history: true,
             ..Default::default()
         }
@@ -1346,13 +1348,17 @@ mod tests {
     #[test]
     fn replay_refuses_unrecordable_configs() {
         let p = instance(20, 81);
-        let config = AlignConfig {
-            iterations: 5,
-            ..Default::default()
-        };
-        assert!(matches!(
-            record_bp(&p, &config),
-            Err(DeltaError::Unsupported(_))
-        ));
+        // Matchers whose output greedy does not reproduce.
+        for matcher in [MatcherKind::Exact, MatcherKind::PathGrowing] {
+            let config = AlignConfig {
+                iterations: 5,
+                matcher,
+                ..Default::default()
+            };
+            assert!(matches!(
+                record_bp(&p, &config),
+                Err(DeltaError::Unsupported(_))
+            ));
+        }
     }
 }

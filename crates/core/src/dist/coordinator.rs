@@ -39,6 +39,7 @@ use crate::frame::{self, FrameRead};
 use crate::objective::evaluate_matching;
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
+use crate::rounding::RoundedSolution;
 use crate::trace::RunTrace;
 use netalign_matching::distributed::{pairs_to_matching, DistMsg, Quiescence};
 use netalign_matching::Matching;
@@ -869,14 +870,14 @@ fn drive(
                 .expect("at least one rounding happened");
             (*b, g.clone(), *bi)
         };
-        let matching = match round_distributed(cluster, p, &best_g, &assign, dc.matcher_msg_drop) {
-            Ok(m) => exact_final_round(p, config, &best_g, best_obj, m),
-            Err(DeadSlot(slot)) => {
-                recover(cluster, slot, dc)?;
-                continue 'epoch;
-            }
-        };
-        let value = evaluate_matching(p, &matching, config.alpha, config.beta);
+        let RoundedSolution { matching, value } =
+            match round_distributed(cluster, p, &best_g, &assign, dc.matcher_msg_drop) {
+                Ok(m) => exact_final_round(p, config, &best_g, best_obj, || m),
+                Err(DeadSlot(slot)) => {
+                    recover(cluster, slot, dc)?;
+                    continue 'epoch;
+                }
+            };
         return Ok(AlignmentResult {
             matching,
             objective: value.total,

@@ -53,7 +53,7 @@
 //! Under pressure — an EWMA of per-iteration cost approaching the
 //! remaining budget — the harness climbs a degradation ladder *before*
 //! the deadline: (1) BP escalates the rounding batch (`BP(batch=r)`),
-//! (2) both engines switch to Suitor rounding, (3) the run
+//! (2) both engines switch to greedy rounding, (3) the run
 //! cuts a final checkpoint (same atomic tmp+rename path as mid-run
 //! snapshots) and returns best-so-far. The ladder sheds only *rounding
 //! frequency and matcher cost*; completed iterations are never
@@ -1057,7 +1057,8 @@ mod tests {
         let cfg = AlignConfig {
             iterations: 10,
             record_history: true,
-            rounding: Some(netalign_matching::RoundingMatcher::Ld),
+            matcher: netalign_matching::MatcherKind::ParallelLocalDominant,
+            final_exact_round: true,
             ..Default::default()
         };
         let harness = RunHarness::new();

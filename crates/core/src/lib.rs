@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::problem::NetAlignProblem;
     pub use crate::result::AlignmentResult;
     pub use crate::trace::cancel::{CancelReason, CancelToken};
-    pub use netalign_matching::{MatcherKind, RoundingMatcher};
+    pub use netalign_matching::MatcherKind;
 }
 
 pub use bp::belief_propagation;

@@ -24,20 +24,21 @@
 //! All state lives in an [`MrEngine`], allocated once in
 //! [`MrEngine::new`]. The numeric kernels of each iteration (row
 //! matchings, daxpy, multiplier update) are allocation-free in the
-//! steady state; only the full bipartite matching and the objective
-//! evaluation of step 3/4 — the pluggable matcher — allocate.
+//! steady state, and so is the full bipartite matching of step 3 with
+//! the preallocated matchers (parallel LD, greedy) of
+//! [`MatcherEngine`].
 
 pub mod rowmatch;
 
 use crate::bp::{all_finite, finalize, install_fault_hook, CHUNK};
 use crate::checkpoint::MrState;
 use crate::config::AlignConfig;
-use crate::objective::{evaluate_matching, evaluate_matching_with_scratch};
+use crate::objective::evaluate_matching_with_scratch;
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
 use crate::rowspans::RowSpans;
 use crate::trace::{faults, MatcherCounters, RunTrace, Step};
-use netalign_matching::{max_weight_matching_traced, MatcherEngine, Matching, RoundingMatcher};
+use netalign_matching::{MatcherEngine, MatcherKind};
 use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
 use rowmatch::{solve_row_matchings_into, RowWorkspace};
@@ -80,12 +81,11 @@ pub struct MrEngine<'a> {
     // Loop-invariant structure.
     spans: RowSpans,
     workspaces: Vec<RowWorkspace>,
-    // Engine-mode rounding (config.rounding set): one preallocated
-    // matcher engine rounds w̄ every iteration, plus the
-    // enriched-rounding weights when that option is on. `None` in
-    // legacy mode. `eval_marks` is the all-false scratch for the
-    // allocation-free objective evaluation.
-    rounding: Option<MatcherEngine>,
+    // One matcher engine rounds w̄ every iteration, plus the
+    // enriched-rounding weights when that option is on. `eval_marks`
+    // is the all-false scratch for the allocation-free objective
+    // evaluation.
+    rounding: MatcherEngine,
     eval_marks: Vec<bool>,
     // Incumbent and step-size control.
     best: Option<(f64, usize)>,
@@ -125,8 +125,8 @@ impl<'a> MrEngine<'a> {
             g2: vec![0.0; if config.enriched_rounding { m } else { 0 }],
             spans,
             workspaces,
-            rounding: config.rounding.map(|kind| MatcherEngine::new(&p.l, kind)),
-            eval_marks: vec![false; if config.rounding.is_some() { m } else { 0 }],
+            rounding: MatcherEngine::new(&p.l, config.matcher),
+            eval_marks: vec![false; m],
             best: None,
             best_g: vec![0.0; m],
             best_upper: f64::INFINITY,
@@ -211,30 +211,18 @@ impl<'a> MrEngine<'a> {
             }
         }
 
-        // Step 3: the full matching — exact, approximate, or the
-        // preallocated rounding engine.
+        // Step 3: the full matching, exact or approximate.
         let t0 = Instant::now();
-        let owned;
-        let matching: &Matching = if let Some(eng) = self.rounding.as_mut() {
-            eng.run(&p.l, &self.wbar, &self.counters)
-        } else {
-            owned =
-                max_weight_matching_traced(&p.l, &self.wbar, self.config.matcher, &self.counters);
-            &owned
-        };
+        let matching = self.rounding.run(&p.l, &self.wbar, &self.counters);
         self.trace.add(Step::Match, t0.elapsed());
         self.trace.algo.rounding_invocations += 1;
         self.trace.algo.rounding_batch_sizes.push(1);
 
         // Step 4: bounds. The scratch evaluation is bit-identical to
-        // the allocating one; engine mode uses it to keep the loop
-        // allocation-free.
+        // the allocating one and keeps the loop allocation-free.
         let t0 = Instant::now();
-        let mut value = if self.eval_marks.is_empty() {
-            evaluate_matching(p, matching, alpha, beta)
-        } else {
-            evaluate_matching_with_scratch(p, matching, alpha, beta, &mut self.eval_marks)
-        };
+        let mut value =
+            evaluate_matching_with_scratch(p, matching, alpha, beta, &mut self.eval_marks);
         matching.indicator_into(&p.l, &mut self.x);
         // Serial dot product: a rayon float reduction's tree shape (and
         // hence its roundoff) depends on work stealing; this sum must be
@@ -267,19 +255,8 @@ impl<'a> MrEngine<'a> {
                     }
                     *ge = alpha * p.l.weights()[e] + beta * acc;
                 });
-            let m2_owned;
-            let m2: &Matching = if let Some(eng) = self.rounding.as_mut() {
-                eng.run(&p.l, &self.g2, &self.counters)
-            } else {
-                m2_owned =
-                    max_weight_matching_traced(&p.l, &self.g2, self.config.matcher, &self.counters);
-                &m2_owned
-            };
-            let v2 = if self.eval_marks.is_empty() {
-                evaluate_matching(p, m2, alpha, beta)
-            } else {
-                evaluate_matching_with_scratch(p, m2, alpha, beta, &mut self.eval_marks)
-            };
+            let m2 = self.rounding.run(&p.l, &self.g2, &self.counters);
+            let v2 = evaluate_matching_with_scratch(p, m2, alpha, beta, &mut self.eval_marks);
             if v2.total > value.total {
                 value = v2;
                 use_enriched = true;
@@ -370,25 +347,15 @@ impl<'a> MrEngine<'a> {
         self.trace.end_iteration();
     }
 
-    /// Degradation-ladder rung 2: route every further matching through
-    /// a lock-free Suitor engine, dropping the legacy allocate-per-call
-    /// path if it was in use. A no-op when the engine already matches
-    /// that way; otherwise the replacement engine allocates once.
-    /// Suitor is not cheaper than LD on every instance, so whether this
-    /// rung saves time is an open question (EXPERIMENTS.md, matcher
-    /// engine section).
+    /// Degradation-ladder rung 2: match every further iteration with
+    /// the sequential greedy matcher. For the locally-dominant matchers
+    /// greedy returns the same unique matching, only faster, so the
+    /// rung changes no result bit. A no-op when the engine already
+    /// matches greedily; otherwise the replacement engine allocates
+    /// once.
     pub fn force_cheap_rounding(&mut self) {
-        let l = &self.p.l;
-        if !self
-            .rounding
-            .as_ref()
-            .is_some_and(|e| e.kind() == RoundingMatcher::Suitor)
-        {
-            self.rounding = Some(MatcherEngine::new(l, RoundingMatcher::Suitor));
-        }
-        let m = l.num_edges();
-        if self.eval_marks.len() != m {
-            self.eval_marks = vec![false; m];
+        if self.rounding.kind() != MatcherKind::Greedy {
+            self.rounding = MatcherEngine::new(&self.p.l, MatcherKind::Greedy);
         }
     }
 
@@ -501,7 +468,6 @@ mod tests {
     use super::*;
     use netalign_graph::generators::{add_random_edges, identity_plus_noise_l, power_law_graph};
     use netalign_graph::{BipartiteGraph, Graph};
-    use netalign_matching::MatcherKind;
 
     fn cycle_problem() -> NetAlignProblem {
         let a = Graph::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
@@ -664,43 +630,45 @@ mod tests {
         assert_eq!(via_wrapper.upper_bound, manual.upper_bound);
     }
 
-    /// The preallocated rounding engine — LD or Suitor, with and
-    /// without enriched rounding — reproduces the legacy
-    /// `ParallelLocalDominant` run bit-for-bit. MR is the stronger test
-    /// of the engines: the matching drives the multiplier update, so
-    /// any divergence compounds across iterations.
+    /// Every matcher of the locally-dominant family, with and without
+    /// enriched rounding, reproduces the parallel-LD engine run bit for
+    /// bit. MR is the stronger test: the matching drives the multiplier
+    /// update, so any divergence compounds across iterations.
     #[test]
-    fn engine_rounding_matches_legacy_parallel_ld() {
-        use netalign_matching::RoundingMatcher;
+    fn locally_dominant_matchers_round_identically() {
         let g = power_law_graph(40, 2.5, 10, 35);
         let a = add_random_edges(&g, 0.02, 36);
         let b = add_random_edges(&g, 0.02, 37);
         let l = identity_plus_noise_l(40, 40, 4.0 / 40.0, 1.0, 1.0, 38);
         let p = NetAlignProblem::new(a, b, l);
         for enriched in [false, true] {
-            let legacy_cfg = AlignConfig {
+            let ld_cfg = AlignConfig {
                 iterations: 15,
                 matcher: MatcherKind::ParallelLocalDominant,
                 enriched_rounding: enriched,
                 record_history: true,
                 ..Default::default()
             };
-            let legacy = matching_relaxation(&p, &legacy_cfg);
-            for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
+            let ld = matching_relaxation(&p, &ld_cfg);
+            for kind in [
+                MatcherKind::Greedy,
+                MatcherKind::LocalDominant,
+                MatcherKind::ParallelLocalDominantOneSide,
+            ] {
                 let cfg = AlignConfig {
-                    rounding: Some(kind),
-                    ..legacy_cfg
+                    matcher: kind,
+                    ..ld_cfg
                 };
                 let r = matching_relaxation(&p, &cfg);
                 assert_eq!(
                     r.objective.to_bits(),
-                    legacy.objective.to_bits(),
+                    ld.objective.to_bits(),
                     "enriched {enriched}, {kind:?}"
                 );
-                assert_eq!(r.matching, legacy.matching);
-                assert_eq!(r.upper_bound, legacy.upper_bound);
-                assert_eq!(r.history.len(), legacy.history.len());
-                for (h, lh) in r.history.iter().zip(&legacy.history) {
+                assert_eq!(r.matching, ld.matching);
+                assert_eq!(r.upper_bound, ld.upper_bound);
+                assert_eq!(r.history.len(), ld.history.len());
+                for (h, lh) in r.history.iter().zip(&ld.history) {
                     assert_eq!(h.objective.to_bits(), lh.objective.to_bits());
                     assert_eq!(
                         h.upper_bound.unwrap().to_bits(),

@@ -4,12 +4,14 @@
 //!
 //! The rounding step is where the exact vs approximate matching
 //! substitution — the paper's central experiment — happens: every
-//! rounding call takes a [`MatcherKind`].
+//! rounding call takes a [`MatcherKind`]. The aligners' per-iterate
+//! rounding goes through a [`netalign_matching::MatcherEngine`] of the
+//! same kind; this one-shot helper serves the baselines and the final
+//! exact round.
 
 use crate::objective::{evaluate_matching, ObjectiveValue};
 use crate::problem::NetAlignProblem;
-use netalign_matching::{max_weight_matching_traced, MatcherCounters, MatcherKind, Matching};
-use rayon::prelude::*;
+use netalign_matching::{max_weight_matching, MatcherKind, Matching};
 
 /// A rounded heuristic: the matching plus its evaluated objective.
 #[derive(Clone, Debug)]
@@ -46,69 +48,14 @@ pub fn round_heuristic(
     beta: f64,
     matcher: MatcherKind,
 ) -> RoundedSolution {
-    round_heuristic_traced(p, g, alpha, beta, matcher, MatcherCounters::disabled())
-}
-
-/// [`round_heuristic`] with matcher event counting (only the parallel
-/// locally-dominant matchers record anything).
-pub fn round_heuristic_traced(
-    p: &NetAlignProblem,
-    g: &[f64],
-    alpha: f64,
-    beta: f64,
-    matcher: MatcherKind,
-    counters: &MatcherCounters,
-) -> RoundedSolution {
     assert_eq!(
         g.len(),
         p.l.num_edges(),
         "heuristic length must equal |E_L|"
     );
-    let matching = max_weight_matching_traced(&p.l, g, matcher, counters);
+    let matching = max_weight_matching(&p.l, g, matcher);
     let value = evaluate_matching(p, &matching, alpha, beta);
     RoundedSolution { matching, value }
-}
-
-/// Round a batch of heuristic vectors concurrently (the paper's
-/// `BP(batch=r)`: matchings run as independent tasks; with a parallel
-/// matcher, rayon's work-stealing provides the nested parallelism the
-/// paper gets from nested OpenMP).
-pub fn round_batch<B>(
-    p: &NetAlignProblem,
-    batch: &[B],
-    alpha: f64,
-    beta: f64,
-    matcher: MatcherKind,
-) -> Vec<RoundedSolution>
-where
-    B: AsRef<[f64]> + Sync,
-{
-    round_batch_traced(p, batch, alpha, beta, matcher, MatcherCounters::disabled())
-}
-
-/// [`round_batch`] with matcher event counting. The counters are
-/// shared across the batch's concurrent matchings; the accumulated
-/// totals stay deterministic because every batched matching's own
-/// counts are (see the matcher's round structure).
-///
-/// Generic over anything slice-like so callers can pass pooled/reused
-/// buffers (e.g. BP's pending-rounding pool) without copying the batch
-/// into a `Vec<Vec<f64>>` first.
-pub fn round_batch_traced<B>(
-    p: &NetAlignProblem,
-    batch: &[B],
-    alpha: f64,
-    beta: f64,
-    matcher: MatcherKind,
-    counters: &MatcherCounters,
-) -> Vec<RoundedSolution>
-where
-    B: AsRef<[f64]> + Sync,
-{
-    batch
-        .par_iter()
-        .map(|g| round_heuristic_traced(p, g.as_ref(), alpha, beta, matcher, counters))
-        .collect()
 }
 
 #[cfg(test)]
@@ -150,20 +97,6 @@ mod tests {
         let exact = round_heuristic(&p, &g, 1.0, 2.0, MatcherKind::Exact);
         let approx = round_heuristic(&p, &g, 1.0, 2.0, MatcherKind::ParallelLocalDominant);
         assert_eq!(exact.matching, approx.matching);
-    }
-
-    #[test]
-    fn batch_matches_individual_rounding() {
-        let p = problem();
-        let batch: Vec<Vec<f64>> = (0..4)
-            .map(|k| (0..4).map(|e| ((e + k) % 4) as f64).collect())
-            .collect();
-        let joint = round_batch(&p, &batch, 1.0, 2.0, MatcherKind::Exact);
-        for (g, r) in batch.iter().zip(&joint) {
-            let solo = round_heuristic(&p, g, 1.0, 2.0, MatcherKind::Exact);
-            assert_eq!(solo.matching, r.matching);
-            assert_eq!(solo.value, r.value);
-        }
     }
 
     #[test]

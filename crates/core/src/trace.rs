@@ -245,12 +245,6 @@ impl RunTrace {
                 self.matcher.cas_failures,
                 self.matcher.queue_peak,
             ));
-            if self.matcher.proposals > 0 {
-                out.push_str(&format!(
-                    "suitor: {} proposals, {} displacements\n",
-                    self.matcher.proposals, self.matcher.displacements,
-                ));
-            }
         }
         if self.algo != AlgoCounters::default() {
             out.push_str(&format!(

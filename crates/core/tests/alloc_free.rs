@@ -6,13 +6,13 @@
 //! even with the persistent worker pool running the kernels at pool
 //! size 4.
 //!
-//! The matcher and objective evaluation are exempt **on the legacy
-//! path only**: there they build a fresh `Matching` per rounding by
-//! design. With the preallocated rounding engine
-//! (`AlignConfig::rounding`), the armed windows below include the
-//! rounding itself — matching and objective evaluation run entirely in
-//! recycled storage, so the whole steady-state loop is proven
-//! allocation-free for both aligners.
+//! The first windows below leave the rounding out: the exact matcher,
+//! like every one-shot kind, builds a fresh `Matching` per call by
+//! design. With the two preallocated matcher kinds
+//! (`MatcherKind::ParallelLocalDominant` and `MatcherKind::Greedy`),
+//! the later windows include the rounding itself — matching and
+//! objective evaluation run entirely in recycled storage, so the whole
+//! steady-state loop is proven allocation-free for both aligners.
 //!
 //! A `#[global_allocator]` is binary-wide state, so this file holds a
 //! single `#[test]` and lives in its own integration-test binary.
@@ -23,7 +23,7 @@ use netalign_core::mr::{update_multipliers, MrEngine};
 use netalign_core::rowspans::RowSpans;
 use netalign_core::{AlignConfig, NetAlignProblem};
 use netalign_graph::generators::{add_random_edges, identity_plus_noise_l, power_law_graph};
-use netalign_matching::{MatcherKind, RoundingMatcher};
+use netalign_matching::MatcherKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -156,48 +156,47 @@ fn steady_state_iterations_do_not_allocate() {
             "MR steady-state kernels performed {n} heap allocations"
         );
 
-        // ---- BP with the preallocated rounding engine (lock-free
-        // Suitor): the armed window now INCLUDES the
-        // batched rounding flushes — zero allocations through matching
-        // and objective evaluation as well.
-        let cfg = AlignConfig {
-            iterations: 40,
-            batch: 4,
-            matcher: MatcherKind::ParallelLocalDominant,
-            rounding: Some(RoundingMatcher::Suitor),
-            ..Default::default()
-        };
-        let mut engine = BpEngine::new(&p, &cfg);
-        for _ in 0..8 {
-            engine.step();
-            if engine.rounding_due() {
-                engine.round_pending();
+        // ---- BP with each preallocated matcher: the armed window now
+        // INCLUDES the batched rounding flushes — zero allocations
+        // through matching and objective evaluation as well.
+        for matcher in [MatcherKind::ParallelLocalDominant, MatcherKind::Greedy] {
+            let cfg = AlignConfig {
+                iterations: 40,
+                batch: 4,
+                matcher,
+                ..Default::default()
+            };
+            let mut engine = BpEngine::new(&p, &cfg);
+            for _ in 0..8 {
+                engine.step();
+                if engine.rounding_due() {
+                    engine.round_pending();
+                }
+                engine.end_iteration();
             }
-            engine.end_iteration();
-        }
-        arm();
-        for _ in 0..8 {
-            engine.step();
-            if engine.rounding_due() {
-                engine.round_pending();
+            arm();
+            for _ in 0..8 {
+                engine.step();
+                if engine.rounding_due() {
+                    engine.round_pending();
+                }
+                engine.end_iteration();
             }
-            engine.end_iteration();
+            let n = disarm();
+            assert_eq!(
+                n, 0,
+                "BP steady state (incl. {matcher:?} rounding) performed {n} heap allocations"
+            );
+            let result = engine.finish();
+            assert!(result.matching.cardinality() > 0);
         }
-        let n = disarm();
-        assert_eq!(
-            n, 0,
-            "BP engine-mode steady state (incl. rounding) performed {n} heap allocations"
-        );
-        let result = engine.finish();
-        assert!(result.matching.cardinality() > 0);
 
-        // ---- MR with the engine (LD): the full step — row
+        // ---- MR with the parallel LD matcher: the full step — row
         // matchings, the driving bipartite matching, bounds, multiplier
         // update — is armed.
         let cfg = AlignConfig {
             iterations: 40,
             matcher: MatcherKind::ParallelLocalDominant,
-            rounding: Some(RoundingMatcher::Ld),
             ..Default::default()
         };
         let mut engine = MrEngine::new(&p, &cfg);
@@ -213,7 +212,7 @@ fn steady_state_iterations_do_not_allocate() {
         let n = disarm();
         assert_eq!(
             n, 0,
-            "MR engine-mode steady state (incl. matching) performed {n} heap allocations"
+            "MR steady state (incl. matching) performed {n} heap allocations"
         );
         let result = engine.finish();
         assert!(result.matching.cardinality() > 0);

@@ -302,6 +302,55 @@ fn soft_iteration_budget_escalates_but_completes() {
     assert!(outcome.result.objective.is_finite());
 }
 
+/// Ladder rung 2 switches rounding to greedy, which returns the same
+/// unique matching as the locally-dominant matcher it replaces, and
+/// rung 1 only defers BP's rounding. So a run pressured up to rung 2
+/// is bit-identical to the unpressured one: matching, objective bits,
+/// best iteration and the whole history.
+#[test]
+fn soft_budget_rung_two_is_result_neutral() {
+    let _guard = faults::test_lock();
+    let p = problem();
+    let cfg = AlignConfig {
+        iterations: 10,
+        batch: 2,
+        matcher: MatcherKind::ParallelLocalDominant,
+        record_history: true,
+        ..Default::default()
+    };
+    let harness = RunHarness::new().with_time_budget(TimeBudget {
+        deadline: None,
+        soft_iteration: Some(std::time::Duration::ZERO),
+    });
+    let (bp, mr) = pool(4).install(|| (harness.run_bp(&p, &cfg), harness.run_mr(&p, &cfg)));
+    let pressured = [bp.expect("soft-budget BP"), mr.expect("soft-budget MR")];
+    let unpressured = [
+        netalign_core::belief_propagation(&p, &cfg),
+        netalign_core::matching_relaxation(&p, &cfg),
+    ];
+    for (outcome, reference) in pressured.iter().zip(&unpressured) {
+        assert_eq!(outcome.completion, Completion::Completed);
+        assert_eq!(outcome.ladder_rung, 2, "zero-width budget reaches rung 2");
+        let r = &outcome.result;
+        assert_eq!(r.matching, reference.matching);
+        assert_eq!(r.objective.to_bits(), reference.objective.to_bits());
+        assert_eq!(r.best_iteration, reference.best_iteration);
+        assert_eq!(
+            r.upper_bound.map(f64::to_bits),
+            reference.upper_bound.map(f64::to_bits)
+        );
+        assert_eq!(r.history.len(), reference.history.len());
+        for (h, rh) in r.history.iter().zip(&reference.history) {
+            assert_eq!(h.iteration, rh.iteration);
+            assert_eq!(h.objective.to_bits(), rh.objective.to_bits());
+            assert_eq!(
+                h.upper_bound.map(f64::to_bits),
+                rh.upper_bound.map(f64::to_bits)
+            );
+        }
+    }
+}
+
 #[test]
 fn concurrent_harness_runs_cancel_independently() {
     let _guard = faults::test_lock();

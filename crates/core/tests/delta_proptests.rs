@@ -10,7 +10,7 @@ use netalign_core::prelude::belief_propagation;
 use netalign_core::problem::NetAlignProblem;
 use netalign_core::result::AlignmentResult;
 use netalign_graph::generators::{add_random_edges, identity_plus_noise_l, power_law_graph};
-use netalign_matching::RoundingMatcher;
+use netalign_matching::MatcherKind;
 use proptest::prelude::*;
 
 const POOLS: [usize; 4] = [1, 2, 4, 8];
@@ -34,7 +34,8 @@ fn cfg(iterations: usize, batch: usize) -> AlignConfig {
     AlignConfig {
         iterations,
         batch,
-        rounding: Some(RoundingMatcher::Ld),
+        matcher: MatcherKind::ParallelLocalDominant,
+        final_exact_round: true,
         record_history: true,
         ..Default::default()
     }

@@ -72,18 +72,16 @@ fn bp_is_bit_identical_across_pool_sizes() {
     }
 }
 
-/// Engine-mode rounding (preallocated matcher, lock-free Suitor) holds
-/// the same contract: the packed-CAS slots converge to a
-/// schedule-independent fixed point, so every pool size produces the
-/// same bits.
+/// Greedy rounding (the preallocated sequential matcher) holds the
+/// same contract: it computes the unique locally-dominant matching, so
+/// every pool size produces the same bits.
 #[test]
 fn bp_engine_rounding_is_bit_identical_across_pool_sizes() {
     let p = problem();
     let cfg = AlignConfig {
         iterations: 20,
         batch: 4,
-        matcher: MatcherKind::ParallelLocalDominant,
-        rounding: Some(RoundingMatcher::Suitor),
+        matcher: MatcherKind::Greedy,
         record_history: true,
         ..Default::default()
     };
@@ -100,7 +98,6 @@ fn mr_engine_rounding_is_bit_identical_across_pool_sizes() {
     let cfg = AlignConfig {
         iterations: 20,
         matcher: MatcherKind::ParallelLocalDominant,
-        rounding: Some(RoundingMatcher::Ld),
         enriched_rounding: true,
         record_history: true,
         ..Default::default()

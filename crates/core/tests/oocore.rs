@@ -105,16 +105,15 @@ fn ooc_is_bit_identical_to_in_core_across_pools() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Engine-mode rounding (Suitor) through the out-of-core sweeps also
-/// matches — rounding only ever sees m-sized iterates, and any bit
-/// drift upstream would change which matching it picks.
+/// Greedy rounding through the out-of-core sweeps also matches —
+/// rounding only ever sees m-sized iterates, and any bit drift
+/// upstream would change which matching it picks.
 #[test]
 fn ooc_engine_rounding_matches_in_core() {
     let (a, b, l) = dense_instance(12);
     let cfg = AlignConfig {
         iterations: 8,
-        matcher: MatcherKind::ParallelSuitor,
-        rounding: Some(RoundingMatcher::Suitor),
+        matcher: MatcherKind::Greedy,
         record_history: true,
         ..Default::default()
     };

@@ -413,14 +413,13 @@ fn truncated_checkpoint_write_is_rejected_with_typed_error() {
 fn resume_from_deadline_cut_checkpoint_is_bit_identical() {
     let _guard = faults::test_lock();
     let p = problem();
-    // Engine-mode rounding: the resume leg runs on a freshly built
+    // Preallocated LD rounding: the resume leg runs on a freshly built
     // matcher engine, exactly like a mid-run restore.
     let cfg = AlignConfig {
         iterations: 16,
         batch: 3,
         record_history: true,
         matcher: MatcherKind::ParallelLocalDominant,
-        rounding: Some(RoundingMatcher::Ld),
         ..Default::default()
     };
     let base = pool(4).install(|| belief_propagation(&p, &cfg));

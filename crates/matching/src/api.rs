@@ -3,8 +3,7 @@
 //! experiment).
 
 use crate::approx::{
-    default_run_len, external_suitor_traced, greedy_matching, parallel_local_dominant_traced,
-    parallel_suitor_traced, path_growing_matching, serial_local_dominant, serial_suitor,
+    greedy_matching, parallel_local_dominant_traced, path_growing_matching, serial_local_dominant,
     InitStrategy, ParallelLdOptions,
 };
 use crate::exact::{auction_matching, max_weight_matching_ssp, AuctionOptions};
@@ -28,15 +27,6 @@ pub enum MatcherKind {
     /// Parallel locally-dominant with the bipartite one-side
     /// initialization (§V, last paragraph).
     ParallelLocalDominantOneSide,
-    /// Serial Suitor algorithm (Manne–Halappanavar) — same matching as
-    /// the locally-dominant family, proposal-driven construction.
-    Suitor,
-    /// Parallel Suitor with per-vertex proposal locks.
-    ParallelSuitor,
-    /// External-memory Suitor: proposal chains scheduled run-by-run so
-    /// the scan working set stays chunk-resident (Birn et al.); same
-    /// matching as [`MatcherKind::ParallelSuitor`] at every run length.
-    ExternalSuitor,
     /// Path-growing ½-approximation (Drake–Hougardy).
     PathGrowing,
     /// Bertsekas auction (near-exact baseline).
@@ -56,12 +46,27 @@ impl MatcherKind {
             MatcherKind::LocalDominant => "ld-serial",
             MatcherKind::ParallelLocalDominant => "ld-parallel",
             MatcherKind::ParallelLocalDominantOneSide => "ld-parallel-1side",
-            MatcherKind::Suitor => "suitor",
-            MatcherKind::ParallelSuitor => "suitor-parallel",
-            MatcherKind::ExternalSuitor => "suitor-external",
             MatcherKind::PathGrowing => "path-growing",
             MatcherKind::Auction { .. } => "auction",
         }
+    }
+
+    /// The kind whose [`MatcherKind::name`] is `name`, or `None` for
+    /// an unknown name. `"auction"` carries the default ε of
+    /// [`AuctionOptions`].
+    pub fn from_name(name: &str) -> Option<MatcherKind> {
+        Some(match name {
+            "exact" => MatcherKind::Exact,
+            "greedy" => MatcherKind::Greedy,
+            "ld-serial" => MatcherKind::LocalDominant,
+            "ld-parallel" => MatcherKind::ParallelLocalDominant,
+            "ld-parallel-1side" => MatcherKind::ParallelLocalDominantOneSide,
+            "path-growing" => MatcherKind::PathGrowing,
+            "auction" => MatcherKind::Auction {
+                eps_rel: AuctionOptions::default().eps_rel,
+            },
+            _ => return None,
+        })
     }
 
     /// True for the ½-approximate algorithms.
@@ -72,10 +77,21 @@ impl MatcherKind {
                 | MatcherKind::LocalDominant
                 | MatcherKind::ParallelLocalDominant
                 | MatcherKind::ParallelLocalDominantOneSide
-                | MatcherKind::Suitor
-                | MatcherKind::ParallelSuitor
-                | MatcherKind::ExternalSuitor
                 | MatcherKind::PathGrowing
+        )
+    }
+
+    /// True for the matchers whose output is *the* locally-dominant
+    /// matching, unique under the total edge order of [`crate::order`]:
+    /// greedy and the three locally-dominant variants. Any one of them
+    /// can stand in for another bit for bit.
+    pub fn is_locally_dominant(&self) -> bool {
+        matches!(
+            self,
+            MatcherKind::Greedy
+                | MatcherKind::LocalDominant
+                | MatcherKind::ParallelLocalDominant
+                | MatcherKind::ParallelLocalDominantOneSide
         )
     }
 }
@@ -133,11 +149,6 @@ pub fn max_weight_matching_traced(
             },
             counters,
         ),
-        MatcherKind::Suitor => serial_suitor(l, weights),
-        MatcherKind::ParallelSuitor => parallel_suitor_traced(l, weights, counters),
-        MatcherKind::ExternalSuitor => {
-            external_suitor_traced(l, weights, default_run_len(l), counters)
-        }
         MatcherKind::PathGrowing => path_growing_matching(l, weights),
         MatcherKind::Auction { eps_rel } => {
             auction_matching(l, weights, AuctionOptions { eps_rel })
@@ -172,9 +183,6 @@ mod tests {
             MatcherKind::LocalDominant,
             MatcherKind::ParallelLocalDominant,
             MatcherKind::ParallelLocalDominantOneSide,
-            MatcherKind::Suitor,
-            MatcherKind::ParallelSuitor,
-            MatcherKind::ExternalSuitor,
             MatcherKind::PathGrowing,
             MatcherKind::Auction { eps_rel: 1e-6 },
         ] {
@@ -210,5 +218,26 @@ mod tests {
         assert!(MatcherKind::ParallelLocalDominant.is_approximate());
         assert!(!MatcherKind::Exact.is_approximate());
         assert!(!MatcherKind::Auction { eps_rel: 1e-6 }.is_approximate());
+        assert!(MatcherKind::Greedy.is_locally_dominant());
+        assert!(!MatcherKind::PathGrowing.is_locally_dominant());
+        assert!(!MatcherKind::Exact.is_locally_dominant());
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for kind in [
+            MatcherKind::Exact,
+            MatcherKind::Greedy,
+            MatcherKind::LocalDominant,
+            MatcherKind::ParallelLocalDominant,
+            MatcherKind::ParallelLocalDominantOneSide,
+            MatcherKind::PathGrowing,
+            MatcherKind::Auction { eps_rel: 1e-4 },
+        ] {
+            assert_eq!(MatcherKind::from_name(kind.name()), Some(kind));
+        }
+        for gone in ["ld", "suitor", "Exact", ""] {
+            assert_eq!(MatcherKind::from_name(gone), None, "{gone}");
+        }
     }
 }

@@ -21,8 +21,9 @@ pub fn greedy_matching(l: &BipartiteGraph, weights: &[f64]) -> Matching {
 /// graph: the sorted-order vector and the output matching. One sort and
 /// one linear pass per call, no steady-state allocation — the cheap
 /// sequential path for callers that already know the matching is
-/// pool-invariant (greedy ≡ locally-dominant ≡ Suitor on the strict
-/// total order), such as the delta-replay stage rematcher.
+/// pool-invariant (greedy ≡ locally-dominant on the strict total
+/// order), such as the greedy [`crate::MatcherEngine`] and the
+/// delta-replay stage rematcher.
 pub struct GreedyScratch {
     order: Vec<EdgeId>,
     /// The matching produced by the last [`Self::run`].

@@ -13,21 +13,17 @@
 //! Each is a ½-approximation in both weight and cardinality because the
 //! result is a maximal matching of locally-dominant edges.
 
-pub mod external;
 pub mod greedy;
 pub mod local_dominant;
 pub mod parallel_ld;
 pub mod path_growing;
-pub mod suitor;
 
-pub use external::{default_run_len, external_suitor, external_suitor_traced};
 pub use greedy::{greedy_matching, GreedyScratch};
 pub use local_dominant::serial_local_dominant;
 pub use parallel_ld::{
     parallel_local_dominant, parallel_local_dominant_traced, InitStrategy, ParallelLdOptions,
 };
 pub use path_growing::path_growing_matching;
-pub use suitor::{parallel_suitor, parallel_suitor_traced, serial_suitor};
 
 use netalign_graph::{BipartiteGraph, VertexId};
 
@@ -41,39 +37,30 @@ const GRAIN_ENTRIES: usize = 2048;
 /// each, so power-law hubs don't pile into one rayon task the way
 /// fixed-width vertex chunks would.
 ///
-/// Returns `(vertex_bounds, entry_bounds)`, both of length `g + 1`:
-/// grain `i` spans unified vertices `vertex_bounds[i]..vertex_bounds[i+1]`
-/// whose adjacency segments occupy `entry_bounds[i]..entry_bounds[i+1]`
-/// of the concatenated (left then right) adjacency array. The split
-/// depends only on the graph — never on the pool size — so every sweep
-/// over these grains partitions work identically at any thread count.
-pub(crate) fn degree_grains(l: &BipartiteGraph) -> (Vec<u32>, Vec<usize>) {
+/// Returns `g + 1` bounds: grain `i` spans unified vertices
+/// `bounds[i]..bounds[i+1]`. The split depends only on the graph —
+/// never on the pool size — so every sweep over these grains
+/// partitions work identically at any thread count.
+pub(crate) fn degree_grains(l: &BipartiteGraph) -> Vec<u32> {
     let na = l.num_left();
     let n = na + l.num_right();
-    let mut vertex_bounds = vec![0u32];
-    let mut entry_bounds = vec![0usize];
+    let mut bounds = vec![0u32];
     let mut acc = 0usize;
-    let mut cum = 0usize;
     for v in 0..n {
-        let d = if v < na {
+        acc += if v < na {
             l.left_degree(v as VertexId)
         } else {
             l.right_degree((v - na) as VertexId)
         };
-        acc += d;
-        cum += d;
         if acc >= GRAIN_ENTRIES {
-            vertex_bounds.push((v + 1) as u32);
-            entry_bounds.push(cum);
+            bounds.push((v + 1) as u32);
             acc = 0;
         }
     }
-    if *vertex_bounds.last().unwrap() != n as u32 {
-        vertex_bounds.push(n as u32);
-        entry_bounds.push(cum);
+    if *bounds.last().unwrap() != n as u32 {
+        bounds.push(n as u32);
     }
-    debug_assert_eq!(cum, 2 * l.num_edges());
-    (vertex_bounds, entry_bounds)
+    bounds
 }
 
 /// A view of the bipartite graph `L` as a *general* graph on the

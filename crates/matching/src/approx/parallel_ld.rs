@@ -51,7 +51,7 @@
 //! makes `find_mate_initial` (and through it `match_attempts` /
 //! `cas_failures`) schedule-dependent.
 
-use super::{unified_edge_gt, UnifiedView};
+use super::{degree_grains, unified_edge_gt, UnifiedView};
 use crate::matching::{Matching, UNMATCHED};
 use netalign_graph::{BipartiteGraph, VertexId};
 use netalign_trace::MatcherCounters;
@@ -78,11 +78,11 @@ pub struct ParallelLdOptions {
 }
 
 /// Candidate sentinel: not yet computed (used by the one-side init).
-pub(crate) const UNSET: VertexId = VertexId::MAX;
+const UNSET: VertexId = VertexId::MAX;
 /// Candidate sentinel: computed, no eligible neighbor.
-pub(crate) const NO_CANDIDATE: VertexId = VertexId::MAX - 1;
+const NO_CANDIDATE: VertexId = VertexId::MAX - 1;
 /// Reprocess-claim sentinel: never claimed in any round.
-pub(crate) const NEVER: u32 = u32::MAX;
+const NEVER: u32 = u32::MAX;
 
 /// Parallel locally-dominant matching on the unified view of `l`,
 /// using the current rayon thread pool.
@@ -102,158 +102,204 @@ pub fn parallel_local_dominant_traced(
     opts: ParallelLdOptions,
     counters: &MatcherCounters,
 ) -> Matching {
-    let view = UnifiedView::new(l, weights);
-    let n = view.num_vertices();
-    let mate: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNMATCHED)).collect();
-    let candidate: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
+    let mut ws = LdWorkspace::new(l);
+    ws.run(l, weights, opts.init, counters);
+    ws.out
+}
 
+/// The queue-based algorithm's working set for one graph, recycled
+/// across calls: [`crate::engine::MatcherEngine`] keeps one, and
+/// [`parallel_local_dominant_traced`] builds one per call.
+pub(crate) struct LdWorkspace {
+    // Degree-aware grains over the unified vertex set (data-dependent
+    // only — never pool-dependent), balancing adjacency entries so
+    // power-law hubs spread across rayon tasks.
+    vertex_bounds: Vec<u32>,
+    mate: Vec<AtomicU32>,
+    candidate: Vec<AtomicU32>,
     // Queues: each matched vertex is enqueued exactly once (by the
     // thread that won its pair), so capacity n suffices.
-    let q_cur: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNMATCHED)).collect();
-    let q_next: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNMATCHED)).collect();
-    let tail_cur = AtomicUsize::new(0);
-    let tail_next = AtomicUsize::new(0);
-
+    q_cur: Vec<AtomicU32>,
+    q_next: Vec<AtomicU32>,
+    tail_cur: AtomicUsize,
+    tail_next: AtomicUsize,
     // Phase-2 reprocess list: `claimed[v]` holds the last round that
     // listed `v` (swap-as-claim dedups without a per-round reset).
-    let reprocess: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNMATCHED)).collect();
-    let reprocess_tail = AtomicUsize::new(0);
-    let claimed: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NEVER)).collect();
+    reprocess: Vec<AtomicU32>,
+    reprocess_tail: AtomicUsize,
+    claimed: Vec<AtomicU32>,
+    // Recycled output.
+    mate_plain: Vec<VertexId>,
+    out: Matching,
+}
 
-    match opts.init {
-        InitStrategy::BothSides => {
-            counters.add_find_mate_initial(n as u64);
-            (0..n as VertexId).into_par_iter().for_each(|v| {
-                candidate[v as usize].store(find_mate(&view, v, &mate), Ordering::SeqCst);
-            });
-            (0..n as VertexId).into_par_iter().for_each(|v| {
-                match_vertex(&view, v, &mate, &candidate, &q_cur, &tail_cur, counters);
-            });
-        }
-        InitStrategy::LeftSide => {
-            let na = view.na() as VertexId;
-            counters.add_find_mate_initial(na as u64);
-            (0..na).into_par_iter().for_each(|a| {
-                candidate[a as usize].store(find_mate(&view, a, &mate), Ordering::SeqCst);
-            });
-            (0..na).into_par_iter().for_each(|a| {
-                let b = candidate[a as usize].load(Ordering::SeqCst);
-                if b == NO_CANDIDATE || b == UNSET {
-                    return;
-                }
-                // MatchVertex computes `b`'s candidate on demand (see
-                // below). Attempt the match from both endpoints: `b`'s
-                // freshly computed candidate may reciprocate some
-                // *other* left vertex whose own MatchVertex already ran
-                // and missed it.
-                match_vertex(&view, a, &mate, &candidate, &q_cur, &tail_cur, counters);
-                match_vertex(&view, b, &mate, &candidate, &q_cur, &tail_cur, counters);
-            });
+impl LdWorkspace {
+    pub(crate) fn new(l: &BipartiteGraph) -> Self {
+        let n = l.num_left() + l.num_right();
+        assert!(
+            (n as u64) < u32::MAX as u64,
+            "vertex count must fit the u32 mate encoding"
+        );
+        let atoms = |v: u32| (0..n).map(|_| AtomicU32::new(v)).collect::<Vec<_>>();
+        LdWorkspace {
+            vertex_bounds: degree_grains(l),
+            mate: atoms(UNMATCHED),
+            candidate: atoms(UNSET),
+            q_cur: atoms(UNMATCHED),
+            q_next: atoms(UNMATCHED),
+            tail_cur: AtomicUsize::new(0),
+            tail_next: AtomicUsize::new(0),
+            reprocess: atoms(UNMATCHED),
+            reprocess_tail: AtomicUsize::new(0),
+            claimed: atoms(NEVER),
+            mate_plain: vec![UNMATCHED; n],
+            out: Matching::empty(l.num_left(), l.num_right()),
         }
     }
-    let st = LdState {
-        mate: &mate,
-        candidate: &candidate,
-        q_cur: &q_cur,
-        q_next: &q_next,
-        tail_cur: &tail_cur,
-        tail_next: &tail_next,
-        reprocess: &reprocess,
-        reprocess_tail: &reprocess_tail,
-        claimed: &claimed,
-    };
-    ld_phase2(&view, &st, counters);
 
-    let mate_plain: Vec<VertexId> = mate.iter().map(|m| m.load(Ordering::Acquire)).collect();
-    view.to_matching(&mate_plain)
-}
-
-/// Borrowed working state of the queue-based algorithm, shared between
-/// the one-shot entry point above and the preallocated
-/// [`crate::engine::MatcherEngine`].
-pub(crate) struct LdState<'s> {
-    pub mate: &'s [AtomicU32],
-    pub candidate: &'s [AtomicU32],
-    pub q_cur: &'s [AtomicU32],
-    pub q_next: &'s [AtomicU32],
-    pub tail_cur: &'s AtomicUsize,
-    pub tail_next: &'s AtomicUsize,
-    pub reprocess: &'s [AtomicU32],
-    pub reprocess_tail: &'s AtomicUsize,
-    pub claimed: &'s [AtomicU32],
-}
-
-/// Phase 2: process queue rounds until no new matches appear. Expects
-/// `q_cur`/`tail_cur` seeded by a phase-1 sweep, `reprocess_tail` zero
-/// and `claimed` at [`NEVER`] for every vertex that might be listed
-/// (the round counter restarts at 0 on every call).
-pub(crate) fn ld_phase2(view: &UnifiedView<'_>, st: &LdState<'_>, counters: &MatcherCounters) {
-    counters.record_queue_len(st.tail_cur.load(Ordering::Acquire) as u64);
-    let (mate, candidate) = (st.mate, st.candidate);
-    let (reprocess, reprocess_tail, claimed) = (st.reprocess, st.reprocess_tail, st.claimed);
-    let (mut qc, mut tc, mut qn, mut tn) = (st.q_cur, st.tail_cur, st.q_next, st.tail_next);
-    let mut round: u32 = 0;
-    while tc.load(Ordering::Acquire) > 0 {
-        let len = tc.load(Ordering::Acquire);
-        counters.incr_rounds();
-
-        // Sub-phase 2a (collect): claim every free neighbor whose
-        // candidate the previous round's matches invalidated. `mate`
-        // and `candidate` are frozen here, so the claimed *set* is
-        // deterministic; only its order in the list is not.
-        qc[..len].par_iter().for_each(|slot| {
-            let u = slot.load(Ordering::Acquire);
-            debug_assert_ne!(u, UNMATCHED);
-            let na = view.na() as VertexId;
-            let consider = |v: VertexId| {
-                if mate[v as usize].load(Ordering::Acquire) != UNMATCHED {
-                    return;
-                }
-                let c = candidate[v as usize].load(Ordering::SeqCst);
-                // `UNSET` only occurs with the one-side init: the right
-                // vertex never computed a candidate, so list it too.
-                if (c == u || c == UNSET)
-                    && claimed[v as usize].swap(round, Ordering::AcqRel) != round
-                {
-                    let idx = reprocess_tail.fetch_add(1, Ordering::AcqRel);
-                    reprocess[idx].store(v, Ordering::Release);
-                }
-            };
-            if u < na {
-                for (b, _) in view.l.left_edges(u) {
-                    consider(na + b);
-                }
-            } else {
-                for (a, _) in view.l.right_edges(u - na) {
-                    consider(a);
-                }
+    /// Match `weights` on `l`, the graph the workspace was sized for.
+    /// Performs no heap allocation.
+    pub(crate) fn run(
+        &mut self,
+        l: &BipartiteGraph,
+        weights: &[f64],
+        init: InitStrategy,
+        counters: &MatcherCounters,
+    ) -> &Matching {
+        let view = UnifiedView::new(l, weights);
+        let vb = &self.vertex_bounds;
+        let grains = vb.len() - 1;
+        let (mate, candidate, claimed) = (&self.mate, &self.candidate, &self.claimed);
+        let (q_cur, tail_cur) = (&self.q_cur, &self.tail_cur);
+        (0..grains).into_par_iter().with_min_len(1).for_each(|g| {
+            for v in vb[g] as usize..vb[g + 1] as usize {
+                mate[v].store(UNMATCHED, Ordering::Relaxed);
+                candidate[v].store(UNSET, Ordering::Relaxed);
+                claimed[v].store(NEVER, Ordering::Relaxed);
             }
         });
-        let listed = reprocess_tail.load(Ordering::Acquire);
-        counters.add_find_mate_reruns(listed as u64);
+        self.tail_cur.store(0, Ordering::Relaxed);
+        self.tail_next.store(0, Ordering::Relaxed);
+        self.reprocess_tail.store(0, Ordering::Relaxed);
 
-        // Sub-phase 2b (re-find): recompute candidates against the
-        // frozen mate array. Distinct listed vertices write distinct
-        // slots, so the computed values are deterministic.
-        reprocess[..listed].par_iter().for_each(|slot| {
-            let v = slot.load(Ordering::Acquire);
-            candidate[v as usize].store(find_mate(view, v, mate), Ordering::SeqCst);
-        });
+        match init {
+            InitStrategy::BothSides => {
+                counters.add_find_mate_initial(mate.len() as u64);
+                (0..grains).into_par_iter().with_min_len(1).for_each(|g| {
+                    for v in vb[g]..vb[g + 1] {
+                        candidate[v as usize].store(find_mate(&view, v, mate), Ordering::SeqCst);
+                    }
+                });
+                (0..grains).into_par_iter().with_min_len(1).for_each(|g| {
+                    for v in vb[g]..vb[g + 1] {
+                        match_vertex(&view, v, mate, candidate, q_cur, tail_cur, counters);
+                    }
+                });
+            }
+            InitStrategy::LeftSide => {
+                let na = view.na() as VertexId;
+                counters.add_find_mate_initial(na as u64);
+                (0..na).into_par_iter().for_each(|a| {
+                    candidate[a as usize].store(find_mate(&view, a, mate), Ordering::SeqCst);
+                });
+                (0..na).into_par_iter().for_each(|a| {
+                    let b = candidate[a as usize].load(Ordering::SeqCst);
+                    if b == NO_CANDIDATE || b == UNSET {
+                        return;
+                    }
+                    // MatchVertex computes `b`'s candidate on demand
+                    // (see below). Attempt the match from both
+                    // endpoints: `b`'s freshly computed candidate may
+                    // reciprocate some *other* left vertex whose own
+                    // MatchVertex already ran and missed it.
+                    match_vertex(&view, a, mate, candidate, q_cur, tail_cur, counters);
+                    match_vertex(&view, b, mate, candidate, q_cur, tail_cur, counters);
+                });
+            }
+        }
+        self.phase2(&view, counters);
+        for (out, m) in self.mate_plain.iter_mut().zip(&self.mate) {
+            *out = m.load(Ordering::Acquire);
+        }
+        self.out.refill_from_unified(l.num_left(), &self.mate_plain);
+        &self.out
+    }
 
-        // Sub-phase 2c (match): candidates are now frozen; the
-        // reciprocal pairs — and with them every counter increment —
-        // are fixed before the first claim races.
-        reprocess[..listed].par_iter().for_each(|slot| {
-            let v = slot.load(Ordering::Acquire);
-            match_vertex(view, v, mate, candidate, qn, tn, counters);
-        });
+    /// Phase 2: process queue rounds until no new matches appear.
+    /// Expects `q_cur`/`tail_cur` seeded by a phase-1 sweep,
+    /// `reprocess_tail` zero and `claimed` at [`NEVER`] for every
+    /// vertex that might be listed (the round counter restarts at 0 on
+    /// every call).
+    fn phase2(&self, view: &UnifiedView<'_>, counters: &MatcherCounters) {
+        counters.record_queue_len(self.tail_cur.load(Ordering::Acquire) as u64);
+        let (mate, candidate) = (&self.mate, &self.candidate);
+        let (reprocess, reprocess_tail, claimed) =
+            (&self.reprocess, &self.reprocess_tail, &self.claimed);
+        let (mut qc, mut tc, mut qn, mut tn) =
+            (&self.q_cur, &self.tail_cur, &self.q_next, &self.tail_next);
+        let mut round: u32 = 0;
+        while tc.load(Ordering::Acquire) > 0 {
+            let len = tc.load(Ordering::Acquire);
+            counters.incr_rounds();
 
-        reprocess_tail.store(0, Ordering::Release);
-        std::mem::swap(&mut qc, &mut qn);
-        std::mem::swap(&mut tc, &mut tn);
-        tn.store(0, Ordering::Release);
-        counters.record_queue_len(tc.load(Ordering::Acquire) as u64);
-        round += 1;
+            // Sub-phase 2a (collect): claim every free neighbor whose
+            // candidate the previous round's matches invalidated. `mate`
+            // and `candidate` are frozen here, so the claimed *set* is
+            // deterministic; only its order in the list is not.
+            qc[..len].par_iter().for_each(|slot| {
+                let u = slot.load(Ordering::Acquire);
+                debug_assert_ne!(u, UNMATCHED);
+                let na = view.na() as VertexId;
+                let consider = |v: VertexId| {
+                    if mate[v as usize].load(Ordering::Acquire) != UNMATCHED {
+                        return;
+                    }
+                    let c = candidate[v as usize].load(Ordering::SeqCst);
+                    // `UNSET` only occurs with the one-side init: the right
+                    // vertex never computed a candidate, so list it too.
+                    if (c == u || c == UNSET)
+                        && claimed[v as usize].swap(round, Ordering::AcqRel) != round
+                    {
+                        let idx = reprocess_tail.fetch_add(1, Ordering::AcqRel);
+                        reprocess[idx].store(v, Ordering::Release);
+                    }
+                };
+                if u < na {
+                    for (b, _) in view.l.left_edges(u) {
+                        consider(na + b);
+                    }
+                } else {
+                    for (a, _) in view.l.right_edges(u - na) {
+                        consider(a);
+                    }
+                }
+            });
+            let listed = reprocess_tail.load(Ordering::Acquire);
+            counters.add_find_mate_reruns(listed as u64);
+
+            // Sub-phase 2b (re-find): recompute candidates against the
+            // frozen mate array. Distinct listed vertices write distinct
+            // slots, so the computed values are deterministic.
+            reprocess[..listed].par_iter().for_each(|slot| {
+                let v = slot.load(Ordering::Acquire);
+                candidate[v as usize].store(find_mate(view, v, mate), Ordering::SeqCst);
+            });
+
+            // Sub-phase 2c (match): candidates are now frozen; the
+            // reciprocal pairs — and with them every counter increment —
+            // are fixed before the first claim races.
+            reprocess[..listed].par_iter().for_each(|slot| {
+                let v = slot.load(Ordering::Acquire);
+                match_vertex(view, v, mate, candidate, qn, tn, counters);
+            });
+
+            reprocess_tail.store(0, Ordering::Release);
+            std::mem::swap(&mut qc, &mut qn);
+            std::mem::swap(&mut tc, &mut tn);
+            tn.store(0, Ordering::Release);
+            counters.record_queue_len(tc.load(Ordering::Acquire) as u64);
+            round += 1;
+        }
     }
 }
 

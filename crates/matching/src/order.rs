@@ -11,9 +11,11 @@
 //! Under a total order, the locally-dominant matching is **unique** and
 //! equals the greedy matching taken in decreasing order — the property
 //! the test-suite uses to cross-validate the serial and parallel
-//! implementations.
+//! implementations. [`certifies_greedy`] checks that property against
+//! the problem alone, sharing no code with any matcher.
 
-use netalign_graph::VertexId;
+use crate::matching::{Matching, UNMATCHED};
+use netalign_graph::{BipartiteGraph, VertexId};
 
 /// Comparison key of an edge: `(weight, max_unified_id, min_unified_id)`.
 ///
@@ -47,6 +49,64 @@ pub fn edge_gt(
         std::cmp::Ordering::Less => false,
         std::cmp::Ordering::Equal => (k1.1, k1.2) > (k2.1, k2.2),
     }
+}
+
+/// True exactly when `m` is *the* greedy matching of `l` under the
+/// weights `w` — and so the unique locally-dominant one — checked in
+/// one pass over `E_L` without running any matcher:
+///
+/// 1. `m` is a valid matching of `l`;
+/// 2. every matched edge has positive weight;
+/// 3. every unmatched positive edge has a matched neighbour edge that
+///    [`edge_gt`] ranks above it.
+///
+/// Why these suffice: if `m` differs from the greedy matching `g`, let
+/// `f` be the top-ranked edge of their symmetric difference. If `f` is
+/// in `g`, condition 3 gives a matched neighbour ranked above `f`;
+/// `g` cannot hold it, so it lies in the difference above `f`. If `f`
+/// is in `m`, it is positive, so greedy skipped it for a neighbour
+/// ranked above it; `m` cannot hold that one, so again it lies in the
+/// difference above `f`. Either way `f` was not the top.
+pub fn certifies_greedy(l: &BipartiteGraph, w: &[f64], m: &Matching) -> bool {
+    let (na, nb) = (l.num_left(), l.num_right());
+    let (left, right) = (m.left_mates(), m.right_mates());
+    if w.len() != l.num_edges() || left.len() != na || right.len() != nb {
+        return false;
+    }
+    let positive = |x: f64| x > 0.0;
+    // The weight of every left vertex's matched edge, `None` while the
+    // pair has not been seen as an edge of `l`.
+    let mut matched_w: Vec<Option<f64>> = vec![None; na];
+    for (a, b, e) in l.edge_iter() {
+        if left[a as usize] == b {
+            matched_w[a as usize] = Some(w[e]);
+        }
+    }
+    for (a, &b) in left.iter().enumerate() {
+        if b == UNMATCHED {
+            continue;
+        }
+        let Some(wm) = matched_w[a] else { return false };
+        if right[b as usize] != a as VertexId || !positive(wm) {
+            return false;
+        }
+    }
+    for (b, &a) in right.iter().enumerate() {
+        if a != UNMATCHED && left.get(a as usize) != Some(&(b as VertexId)) {
+            return false;
+        }
+    }
+    // A matched edge at `(a, b)` ranked above the candidate edge `f`.
+    let above = |a: VertexId, b: VertexId, f: (f64, VertexId, VertexId)| {
+        matched_w[a as usize].is_some_and(|wm| edge_gt(wm, a, b, f.0, f.1, f.2, na))
+    };
+    l.edge_iter().all(|(a, b, e)| {
+        let f = (w[e], a, b);
+        !positive(w[e])
+            || left[a as usize] == b
+            || (left[a as usize] != UNMATCHED && above(a, left[a as usize], f))
+            || (right[b as usize] != UNMATCHED && above(right[b as usize], b, f))
+    })
 }
 
 #[cfg(test)]
@@ -84,5 +144,75 @@ mod tests {
     #[test]
     fn irreflexive() {
         assert!(!edge_gt(1.0, 2, 3, 1.0, 2, 3, 5));
+    }
+
+    fn tiny() -> BipartiteGraph {
+        BipartiteGraph::from_entries(
+            3,
+            3,
+            vec![
+                (0, 0, 2.0),
+                (0, 1, 3.0),
+                (1, 1, 2.0),
+                (1, 0, 0.0),
+                (2, 2, -1.0),
+            ],
+        )
+    }
+
+    fn matching(pairs: &[(VertexId, VertexId)]) -> Matching {
+        let mut m = Matching::empty(3, 3);
+        for &(a, b) in pairs {
+            m.add_pair(a, b);
+        }
+        m
+    }
+
+    #[test]
+    fn certificate_accepts_the_greedy_matching_only() {
+        let l = tiny();
+        let w = l.weights();
+        assert!(certifies_greedy(&l, w, &matching(&[(0, 1)])));
+        // The optimum is not the greedy matching.
+        assert!(!certifies_greedy(&l, w, &matching(&[(0, 0), (1, 1)])));
+        // Dropping a pair leaves a positive edge undominated.
+        assert!(!certifies_greedy(&l, w, &matching(&[])));
+        // Adding a zero or a negative edge breaks condition 2.
+        assert!(!certifies_greedy(&l, w, &matching(&[(0, 1), (1, 0)])));
+        assert!(!certifies_greedy(&l, w, &matching(&[(0, 1), (2, 2)])));
+    }
+
+    #[test]
+    fn certificate_rejects_invalid_matchings() {
+        let l = tiny();
+        // (2, 0) is not an edge of l.
+        let m = Matching::from_mates(vec![1, UNMATCHED, 0], vec![2, 0, UNMATCHED]);
+        assert!(!certifies_greedy(&l, l.weights(), &m));
+        // Wrong shape.
+        assert!(!certifies_greedy(&l, l.weights(), &Matching::empty(2, 3)));
+    }
+
+    #[test]
+    fn certificate_breaks_weight_ties_by_the_edge_order() {
+        // All four edges tie; the order ranks (1,1) top, which blocks
+        // (0,1) and (1,0), so greedy takes (0,0) next.
+        let l = BipartiteGraph::from_entries(
+            2,
+            2,
+            vec![(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)],
+        );
+        let w = l.weights();
+        assert!(certifies_greedy(&l, w, &{
+            let mut m = Matching::empty(2, 2);
+            m.add_pair(1, 1);
+            m.add_pair(0, 0);
+            m
+        }));
+        assert!(!certifies_greedy(&l, w, &{
+            let mut m = Matching::empty(2, 2);
+            m.add_pair(0, 1);
+            m.add_pair(1, 0);
+            m
+        }));
     }
 }

@@ -1,21 +1,21 @@
 //! Cross-implementation equivalence under pool sweeps.
 //!
 //! The locally-dominant matching is unique under the crate's total edge
-//! order, so five independent implementations — the sequential greedy,
-//! serial LD, the paper's queue-based parallel LD, serial Suitor, and
-//! the lock-free parallel Suitor — must return bit-identical results at
-//! every thread count. Property tests drive random graphs (zero and
-//! negative weights included) through all five, plus the preallocated
-//! engine reused over weight sequences, at pools {1, 2, 4, 8}.
+//! order, so three independent implementations — the sequential
+//! greedy, serial LD and the paper's queue-based parallel LD — must
+//! return bit-identical results at every thread count, and that result
+//! must pass the greedy certificate. Property tests drive random graphs
+//! (zero and negative weights included) through all three, plus the
+//! preallocated LD and greedy engines reused over weight sequences, at
+//! pools {1, 2, 4, 8}.
 
 use netalign_graph::BipartiteGraph;
 use netalign_matching::approx::{
-    parallel_local_dominant, parallel_suitor, serial_local_dominant, serial_suitor,
-    ParallelLdOptions,
+    parallel_local_dominant, serial_local_dominant, ParallelLdOptions,
 };
+use netalign_matching::order::certifies_greedy;
 use netalign_matching::{
-    external_suitor_traced, greedy_matching, GreedyScratch, MatcherCounters, MatcherEngine,
-    Matching, RoundingMatcher,
+    greedy_matching, GreedyScratch, MatcherCounters, MatcherEngine, MatcherKind, Matching,
 };
 use proptest::prelude::*;
 
@@ -90,54 +90,28 @@ fn arb_instance_and_sequence() -> impl Strategy<Value = (BipartiteGraph, Vec<Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// sequential greedy ≡ serial Suitor ≡ lock-free parallel Suitor ≡
-    /// serial LD ≡ parallel LD, at every pool size. The greedy leg is
+    /// sequential greedy ≡ greedy engine ≡ serial LD ≡ parallel LD, at
+    /// every pool size, and the result certifies. The greedy leg is
     /// what licenses the delta replay's cheap stage rematcher: a sort
     /// plus one linear pass reproduces the pool-invariant matching.
     #[test]
-    fn five_way_equivalence_across_pools(l in arb_instance()) {
+    fn greedy_and_ld_agree_across_pools(l in arb_instance()) {
         let reference = serial_local_dominant(&l, l.weights());
+        prop_assert!(certifies_greedy(&l, l.weights(), &reference));
         prop_assert_eq!(&greedy_matching(&l, l.weights()), &reference);
         let mut scratch = GreedyScratch::new(&l);
         prop_assert_eq!(scratch.run(&l, l.weights()), &reference);
-        prop_assert_eq!(&serial_suitor(&l, l.weights()), &reference);
         for threads in POOLS {
-            let (pld, psu) = pool(threads).install(|| {
+            let (pld, gr) = pool(threads).install(|| {
                 (
                     parallel_local_dominant(&l, l.weights(), ParallelLdOptions::default()),
-                    parallel_suitor(&l, l.weights()),
+                    MatcherEngine::new(&l, MatcherKind::Greedy)
+                        .run(&l, l.weights(), MatcherCounters::disabled())
+                        .clone(),
                 )
             });
             prop_assert_eq!(&pld, &reference, "parallel LD at {} threads", threads);
-            prop_assert_eq!(&psu, &reference, "parallel Suitor at {} threads", threads);
-        }
-    }
-
-    /// The external (run-partitioned) Suitor reaches the same unique
-    /// fixed point as the in-core matchers at every run length — from
-    /// one vertex per run to one run for the whole graph — and at
-    /// every pool size. This is the contract that lets the out-of-core
-    /// rounding path swap it in without perturbing a single bit.
-    #[test]
-    fn external_suitor_equals_in_core_across_runs_and_pools(
-        l in arb_instance(),
-        run_len_exp in 0u32..8,
-    ) {
-        let reference = serial_suitor(&l, l.weights());
-        let run_len = 1usize << run_len_exp;
-        for threads in POOLS {
-            let got = pool(threads).install(|| {
-                external_suitor_traced(
-                    &l,
-                    l.weights(),
-                    run_len,
-                    MatcherCounters::disabled(),
-                )
-            });
-            prop_assert_eq!(
-                &got, &reference,
-                "external Suitor, run_len {} at {} threads", run_len, threads
-            );
+            prop_assert_eq!(&gr, &reference, "greedy engine at {} threads", threads);
         }
     }
 
@@ -148,7 +122,7 @@ proptest! {
         // Serial oracle per step, computed once.
         let oracle: Vec<Matching> =
             seq.iter().map(|w| serial_local_dominant(&l, w)).collect();
-        for kind in [RoundingMatcher::Ld, RoundingMatcher::Suitor] {
+        for kind in [MatcherKind::ParallelLocalDominant, MatcherKind::Greedy] {
             for threads in POOLS {
                 pool(threads).install(|| {
                     let mut eng = MatcherEngine::new(&l, kind);

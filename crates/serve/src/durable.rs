@@ -13,8 +13,10 @@
 //!   a rebooted entry simply builds a fresh one. Same framing
 //!   discipline as `NACP` checkpoints: magic, version, FNV-1a checksum
 //!   over the payload, atomic tmp+fsync+rename+dir-fsync. Version 2
-//!   dropped the config byte of the removed warm start option;
-//!   version-1 files fail to load with a version error.
+//!   dropped the config byte of the removed warm start option, and
+//!   version 3 the byte of the removed `rounding` option together with
+//!   the Suitor matcher tags (5, 6 and 10); older files fail to load
+//!   with a version error.
 //!
 //! * **The journal** (`journal.log`) — an append-only, per-record
 //!   checksummed log of admitted `align --record` / `align_delta`
@@ -37,7 +39,7 @@ use netalign_core::config::{AlignConfig, CheckpointPolicy, DampingKind};
 use netalign_core::delta::BpTrajectory;
 use netalign_core::problem::NetAlignProblem;
 use netalign_graph::{BipartiteGraph, Graph, VertexId};
-use netalign_matching::{MatcherKind, RoundingMatcher};
+use netalign_matching::MatcherKind;
 use netalign_trace::faults;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
@@ -47,7 +49,7 @@ use std::path::{Path, PathBuf};
 /// Spill-file magic (`NACP`'s sibling: NetAlign SPill).
 const SPILL_MAGIC: [u8; 4] = *b"NASP";
 /// Spill format version.
-const SPILL_VERSION: u32 = 2;
+const SPILL_VERSION: u32 = 3;
 /// Journal record magic (NetAlign JournaL).
 const JOURNAL_MAGIC: [u8; 4] = *b"NAJL";
 /// Fixed journal record header: magic + kind + seq + payload_len +
@@ -604,24 +606,16 @@ fn put_config(w: &mut PayloadWriter, c: &AlignConfig) {
         MatcherKind::LocalDominant => w.put_u8(2),
         MatcherKind::ParallelLocalDominant => w.put_u8(3),
         MatcherKind::ParallelLocalDominantOneSide => w.put_u8(4),
-        MatcherKind::Suitor => w.put_u8(5),
-        MatcherKind::ParallelSuitor => w.put_u8(6),
         MatcherKind::PathGrowing => w.put_u8(7),
         MatcherKind::Auction { eps_rel } => {
             w.put_u8(9);
             w.put_f64(eps_rel);
         }
-        MatcherKind::ExternalSuitor => w.put_u8(10),
     }
     w.put_u8(match c.damping {
         DampingKind::Power => 0,
         DampingKind::Constant => 1,
         DampingKind::None => 2,
-    });
-    w.put_u8(match c.rounding {
-        None => 0,
-        Some(RoundingMatcher::Ld) => 1,
-        Some(RoundingMatcher::Suitor) => 2,
     });
     w.put_u8(c.enriched_rounding as u8);
     w.put_u8(c.final_exact_round as u8);
@@ -645,13 +639,10 @@ fn get_config(r: &mut PayloadReader<'_>) -> Result<AlignConfig, String> {
         2 => MatcherKind::LocalDominant,
         3 => MatcherKind::ParallelLocalDominant,
         4 => MatcherKind::ParallelLocalDominantOneSide,
-        5 => MatcherKind::Suitor,
-        6 => MatcherKind::ParallelSuitor,
         7 => MatcherKind::PathGrowing,
         9 => MatcherKind::Auction {
             eps_rel: r.get_f64("config.matcher.eps_rel")?,
         },
-        10 => MatcherKind::ExternalSuitor,
         t => return Err(format!("config.matcher: invalid tag {t}")),
     };
     let damping = match r.get_u8("config.damping")? {
@@ -659,12 +650,6 @@ fn get_config(r: &mut PayloadReader<'_>) -> Result<AlignConfig, String> {
         1 => DampingKind::Constant,
         2 => DampingKind::None,
         t => return Err(format!("config.damping: invalid tag {t}")),
-    };
-    let rounding = match r.get_u8("config.rounding")? {
-        0 => None,
-        1 => Some(RoundingMatcher::Ld),
-        2 => Some(RoundingMatcher::Suitor),
-        t => return Err(format!("config.rounding: invalid tag {t}")),
     };
     let get_bool = |r: &mut PayloadReader<'_>, what: &str| -> Result<bool, String> {
         match r.get_u8(what)? {
@@ -693,7 +678,6 @@ fn get_config(r: &mut PayloadReader<'_>) -> Result<AlignConfig, String> {
         final_exact_round,
         record_history,
         trace_matcher,
-        rounding,
         numeric_guards,
         checkpoint: CheckpointPolicy {
             every_k_iters,
@@ -799,7 +783,8 @@ mod tests {
     fn config() -> AlignConfig {
         AlignConfig {
             iterations: 6,
-            rounding: Some(RoundingMatcher::Ld),
+            matcher: MatcherKind::ParallelLocalDominant,
+            final_exact_round: true,
             record_history: false,
             ..AlignConfig::default()
         }
@@ -896,38 +881,41 @@ mod tests {
     /// still recover.
     #[test]
     fn version_one_spill_is_rejected_and_recovery_goes_on() {
-        let dir = std::env::temp_dir().join(format!("nasp-v1-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let old = recorded_base(1);
-        let kept = recorded_base(2);
-        assert_ne!(old.0, kept.0, "test needs distinct fingerprints");
-        {
-            let (mut store, _, _) = DurableStore::open(&dir, 1 << 20).expect("open");
-            for (fp, problem, config, trajectory) in [&old, &kept] {
-                store.begin_record(*fp).expect("begin");
-                store
-                    .spill(*fp, Method::Bp, problem, config, Some(trajectory))
-                    .expect("spill");
-                store.commit_record(*fp).expect("commit");
+        for version in [1u32, 2] {
+            let dir = std::env::temp_dir().join(format!("nasp-v{version}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let old = recorded_base(1);
+            let kept = recorded_base(2);
+            assert_ne!(old.0, kept.0, "test needs distinct fingerprints");
+            {
+                let (mut store, _, _) = DurableStore::open(&dir, 1 << 20).expect("open");
+                for (fp, problem, config, trajectory) in [&old, &kept] {
+                    store.begin_record(*fp).expect("begin");
+                    store
+                        .spill(*fp, Method::Bp, problem, config, Some(trajectory))
+                        .expect("spill");
+                    store.commit_record(*fp).expect("commit");
+                }
             }
-        }
-        // Stamp the first spill as version 1 (bytes 4..8 after magic).
-        let path = spill_path(&dir, old.0);
-        let mut bytes = std::fs::read(&path).expect("read spill");
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("rewrite spill");
-        let err = load_spill(&path, old.0)
-            .err()
-            .expect("version 1 must not load");
-        assert!(err.contains("spill version 1"), "{err}");
+            // Stamp the first spill with the old version (bytes 4..8
+            // after magic).
+            let path = spill_path(&dir, old.0);
+            let mut bytes = std::fs::read(&path).expect("read spill");
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("rewrite spill");
+            let err = load_spill(&path, old.0)
+                .err()
+                .expect("an old version must not load");
+            assert!(err.contains(&format!("spill version {version}")), "{err}");
 
-        let (store, report, entries) = DurableStore::open(&dir, 1 << 20).expect("reopen");
-        assert_eq!(report.journal_replayed, 2);
-        assert_eq!(report.spill_load_errors, 1);
-        assert_eq!(store.live(), &[kept.0]);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].fingerprint, kept.0);
-        let _ = std::fs::remove_dir_all(&dir);
+            let (store, report, entries) = DurableStore::open(&dir, 1 << 20).expect("reopen");
+            assert_eq!(report.journal_replayed, 2);
+            assert_eq!(report.spill_load_errors, 1);
+            assert_eq!(store.live(), &[kept.0]);
+            assert_eq!(entries.len(), 1);
+            assert_eq!(entries[0].fingerprint, kept.0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! {"op":"align", "id":"r-1", "method":"bp"|"mr",
 //!  "deadline_ms":500,              // optional SLO, includes queue wait
 //!  "record":true,                  // optional: record a delta base (bp only)
-//!  "config":{"alpha":1.0,"beta":2.0,"gamma":0.99,"iterations":100,
-//!            "batch":1,"mstep":10,"rounding":"ld"|"suitor",
+//!  "config":{"alpha":1.0,"beta":2.0,"gamma":0.99,"iterations":50,
+//!            "batch":1,"mstep":10,
 //!            "enriched_rounding":false,
-//!            "final_exact_round":false},   // all optional
+//!            "final_exact_round":true},    // all optional
 //!  "a":{"n":5,"edges":[[0,1],[1,2]]},
 //!  "b":{"n":5,"edges":[[0,1]]},
 //!  "l":{"entries":[[0,0,1.0],[1,1,0.9]]}}
@@ -79,7 +79,7 @@ use netalign_core::harness::AlignOutcome;
 use netalign_graph::bipartite::BipartiteGraph;
 use netalign_graph::delta::{CandidateDelta, GraphDelta};
 use netalign_graph::undirected::Graph;
-use netalign_matching::RoundingMatcher;
+use netalign_matching::MatcherKind;
 use netalign_trace::Json;
 use std::io::{Read, Write};
 
@@ -407,12 +407,16 @@ fn parse_candidate_delta(value: Option<&Json>) -> Result<CandidateDelta, Request
     Ok(d)
 }
 
-/// Server-side config defaults: engine-mode LD rounding with matcher
-/// tracing on (cheap), history off.
+/// Server-side config defaults: every iterate rounded by the paper's
+/// parallel locally-dominant matcher, then one exact matching of the
+/// best iterate kept when it scores at least as well
+/// (`final_exact_round`, which a request may turn off). Matcher tracing
+/// on (cheap), history off.
 pub fn default_config() -> AlignConfig {
     AlignConfig {
         iterations: 50,
-        rounding: Some(RoundingMatcher::Ld),
+        matcher: MatcherKind::ParallelLocalDominant,
+        final_exact_round: true,
         trace_matcher: true,
         record_history: false,
         ..AlignConfig::default()
@@ -438,17 +442,6 @@ fn parse_config(value: Option<&Json>) -> Result<AlignConfig, RequestError> {
             "mstep" => c.mstep = num_usize(v, "config.mstep")?,
             "enriched_rounding" => c.enriched_rounding = boolean(v, "config.enriched_rounding")?,
             "final_exact_round" => c.final_exact_round = boolean(v, "config.final_exact_round")?,
-            "rounding" => {
-                c.rounding = match v.as_str() {
-                    Some("ld") => Some(RoundingMatcher::Ld),
-                    Some("suitor") => Some(RoundingMatcher::Suitor),
-                    _ => {
-                        return Err(RequestError::invalid(
-                            "config.rounding must be \"ld\" or \"suitor\"",
-                        ))
-                    }
-                }
-            }
             other => {
                 return Err(RequestError::invalid(format!(
                     "unknown config field '{other}'"
@@ -785,10 +778,11 @@ mod tests {
         assert_eq!(req.method, Method::Bp);
         assert_eq!(req.config.iterations, 4);
         assert_eq!(
-            req.config.rounding,
-            Some(RoundingMatcher::Ld),
+            req.config.matcher,
+            MatcherKind::ParallelLocalDominant,
             "server default"
         );
+        assert!(req.config.final_exact_round, "server default");
         assert_eq!(req.l.num_edges(), 3);
         assert_ne!(req.fingerprint, 0);
     }
@@ -809,10 +803,13 @@ mod tests {
         let e = parse_request(bad.as_bytes()).unwrap_err();
         assert_eq!(e.code, CODE_INVALID);
         // A removed option is rejected, never silently ignored.
-        let bad = align_doc().replace("\"iterations\":4", "\"iterations\":4,\"warm_start\":true");
-        let e = parse_request(bad.as_bytes()).unwrap_err();
-        assert_eq!(e.code, CODE_INVALID);
-        assert!(e.message.contains("unknown config field"), "{}", e.message);
+        for removed in ["\"warm_start\":true", "\"rounding\":\"ld\""] {
+            let bad =
+                align_doc().replace("\"iterations\":4", &format!("\"iterations\":4,{removed}"));
+            let e = parse_request(bad.as_bytes()).unwrap_err();
+            assert_eq!(e.code, CODE_INVALID, "{removed}");
+            assert!(e.message.contains("unknown config field"), "{}", e.message);
+        }
     }
 
     #[test]

@@ -5,24 +5,30 @@
 mod common;
 
 use common::{align_doc, fetch_metrics, metric_u64, reply_f64, reply_matching, Daemon};
+use netalign_core::config::AlignConfig;
 use netalign_core::harness::RunHarness;
 use netalign_core::problem::NetAlignProblem;
+use netalign_matching::MatcherKind;
 use netalign_serve::client::response_code;
-use netalign_serve::protocol::{parse_request, Request};
+use netalign_serve::protocol::{parse_request, AlignRequest, Request};
 use netalign_trace::Json;
 use std::time::{Duration, Instant};
 
-/// Re-parse a wire document exactly the way the server does and solve
-/// it directly with the run harness — the reference the service must
-/// match bit for bit.
-fn direct_reference(doc: &Json) -> (f64, Vec<(u64, u64)>, u64) {
+/// Parse a wire document exactly the way the server does.
+fn parse_align_doc(doc: &Json) -> AlignRequest {
     let payload = doc.render();
     let Request::Align(req) = parse_request(payload.as_bytes()).expect("parse own doc") else {
         panic!("expected align request");
     };
+    *req
+}
+
+/// Solve the request's graphs directly with the run harness under
+/// `config`: objective, sorted matching pairs and iterations run.
+fn direct_solve(req: &AlignRequest, config: &AlignConfig) -> (f64, Vec<(u64, u64)>, u64) {
     let problem = NetAlignProblem::new(req.a.clone(), req.b.clone(), req.l.clone());
     let outcome = RunHarness::new()
-        .run_bp(&problem, &req.config)
+        .run_bp(&problem, config)
         .expect("direct solve");
     let mut pairs: Vec<(u64, u64)> = outcome
         .result
@@ -36,6 +42,14 @@ fn direct_reference(doc: &Json) -> (f64, Vec<(u64, u64)>, u64) {
         pairs,
         outcome.iterations_run as u64,
     )
+}
+
+/// Re-parse a wire document exactly the way the server does and solve
+/// it directly with the run harness — the reference the service must
+/// match bit for bit.
+fn direct_reference(doc: &Json) -> (f64, Vec<(u64, u64)>, u64) {
+    let req = parse_align_doc(doc);
+    direct_solve(&req, &req.config)
 }
 
 #[test]
@@ -61,6 +75,68 @@ fn served_alignment_is_bit_identical_to_direct_harness() {
         reply.get("completion").and_then(Json::as_str),
         Some("completed")
     );
+}
+
+/// The server rounds every iterate with the parallel LD matcher and by
+/// default re-rounds the best iterate exactly, keeping that matching
+/// only when it scores at least as well. A request can turn the final
+/// exact round off. On this instance the exact matching wins, so the
+/// two replies differ. Each reply equals a direct harness solve of a
+/// config built here, not parsed, so a parser or `finalize` that
+/// ignored the flag would fail.
+#[test]
+fn final_exact_round_request_flag_is_honoured() {
+    let daemon = Daemon::spawn(&[]);
+    let mut client = daemon.client();
+    let iterations = 3;
+    let default_doc = align_doc(70, 7, iterations, None);
+    let mut without = default_doc.clone();
+    let Json::Obj(fields) = &mut without else {
+        panic!("align doc is an object")
+    };
+    let (_, Json::Obj(config)) = fields
+        .iter_mut()
+        .find(|(k, _)| k == "config")
+        .expect("config field")
+    else {
+        panic!("config is an object")
+    };
+    config.push(("final_exact_round".into(), Json::Bool(false)));
+
+    let mut replies = Vec::new();
+    for (doc, final_exact_round) in [(&default_doc, true), (&without, false)] {
+        let req = parse_align_doc(doc);
+        assert_eq!(req.config.final_exact_round, final_exact_round);
+        assert_eq!(req.config.matcher, MatcherKind::ParallelLocalDominant);
+        let built = AlignConfig {
+            iterations,
+            matcher: MatcherKind::ParallelLocalDominant,
+            final_exact_round,
+            ..AlignConfig::default()
+        };
+        let (objective, pairs, iterations_run) = direct_solve(&req, &built);
+        let reply = client.request(doc).expect("align request");
+        assert_eq!(response_code(&reply), 200, "reply: {}", reply.render());
+        assert_eq!(
+            reply_f64(&reply, "objective").to_bits(),
+            objective.to_bits(),
+            "served objective must be bit-identical to the direct harness \
+             (final_exact_round {final_exact_round})"
+        );
+        assert_eq!(reply_matching(&reply), pairs);
+        assert_eq!(
+            reply.get("iterations_run").and_then(Json::as_u64),
+            Some(iterations_run)
+        );
+        replies.push((objective, pairs));
+    }
+    assert!(
+        replies[0].0 > replies[1].0,
+        "the exact matching should win here: {} vs {}",
+        replies[0].0,
+        replies[1].0
+    );
+    assert_ne!(replies[0].1, replies[1].1);
 }
 
 #[test]

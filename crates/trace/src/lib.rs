@@ -404,8 +404,6 @@ pub struct MatcherCounters {
     matched_pairs: AtomicU64,
     cas_failures: AtomicU64,
     queue_peak: AtomicU64,
-    proposals: AtomicU64,
-    displacements: AtomicU64,
 }
 
 static DISABLED_COUNTERS: MatcherCounters = MatcherCounters::new(false);
@@ -422,8 +420,6 @@ impl MatcherCounters {
             matched_pairs: AtomicU64::new(0),
             cas_failures: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
-            proposals: AtomicU64::new(0),
-            displacements: AtomicU64::new(0),
         }
     }
 
@@ -494,22 +490,6 @@ impl MatcherCounters {
         }
     }
 
-    /// `n` Suitor proposals issued (slot updates attempted).
-    #[inline]
-    pub fn add_proposals(&self, n: u64) {
-        if self.enabled {
-            self.proposals.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// `n` suitors displaced by a better proposal.
-    #[inline]
-    pub fn add_displacements(&self, n: u64) {
-        if self.enabled {
-            self.displacements.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Current values as a plain struct.
     pub fn snapshot(&self) -> MatcherCounterSnapshot {
         MatcherCounterSnapshot {
@@ -520,8 +500,6 @@ impl MatcherCounters {
             matched_pairs: self.matched_pairs.load(Ordering::Relaxed),
             cas_failures: self.cas_failures.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
-            proposals: self.proposals.load(Ordering::Relaxed),
-            displacements: self.displacements.load(Ordering::Relaxed),
             ..MatcherCounterSnapshot::default()
         }
     }
@@ -544,9 +522,6 @@ impl MatcherCounters {
                 .fetch_add(snap.cas_failures, Ordering::Relaxed);
             self.queue_peak
                 .fetch_max(snap.queue_peak, Ordering::Relaxed);
-            self.proposals.fetch_add(snap.proposals, Ordering::Relaxed);
-            self.displacements
-                .fetch_add(snap.displacements, Ordering::Relaxed);
         }
     }
 
@@ -559,8 +534,6 @@ impl MatcherCounters {
         self.matched_pairs.store(0, Ordering::Relaxed);
         self.cas_failures.store(0, Ordering::Relaxed);
         self.queue_peak.store(0, Ordering::Relaxed);
-        self.proposals.store(0, Ordering::Relaxed);
-        self.displacements.store(0, Ordering::Relaxed);
     }
 }
 
@@ -582,9 +555,11 @@ pub struct MatcherCounterSnapshot {
     pub cas_failures: u64,
     /// Queue occupancy high-water mark.
     pub queue_peak: u64,
-    /// Suitor proposals issued (slot updates attempted).
+    /// Always 0: the Suitor matchers that counted proposals are gone.
+    /// Kept so readers of the snapshot and checkpoint v2's counter
+    /// block stay unchanged.
     pub proposals: u64,
-    /// Suitors displaced by a better proposal.
+    /// Always 0, like [`MatcherCounterSnapshot::proposals`].
     pub displacements: u64,
     /// Always 0: the matcher no longer warm-starts. Kept so readers of
     /// the snapshot and checkpoint v2's counter block stay unchanged.
@@ -608,8 +583,6 @@ impl MatcherCounterSnapshot {
         self.matched_pairs += other.matched_pairs;
         self.cas_failures += other.cas_failures;
         self.queue_peak = self.queue_peak.max(other.queue_peak);
-        self.proposals += other.proposals;
-        self.displacements += other.displacements;
     }
 
     /// JSON object form.

@@ -9,10 +9,10 @@
 //!                     [--out matching.txt] [--json-out result.json]
 //!                     [--checkpoint DIR] [--resume PATH]
 //!
-//! The `--matcher` shorthands `ld` and `suitor` route the
-//! per-iteration rounding through the preallocated matcher engine
-//! (queue-based parallel LD or lock-free parallel Suitor). Results are
-//! bit-identical to the legacy one-shot matchers of the same family.
+//! `--matcher` names the matcher that rounds every iterate: `exact`
+//! (the default), `greedy`, `ld-serial`, `ld-parallel`,
+//! `ld-parallel-1side`, `path-growing` or `auction`. `greedy` and the
+//! `ld-*` kinds return the same unique matching.
 //! netalignmc generate --dataset dmela-scere [--scale 0.1] [--seed 42]
 //!                     --out-dir data/
 //! ```
@@ -50,7 +50,7 @@ fn help_text() -> String {
          align flags (see the crate docs for the full list):\n\
          \x20 --a A.el --b B.el --l L.smat   input graphs\n\
          \x20 --method bp|mr|isorank|nsd|naive\n\
-         \x20 --matcher exact|ld|suitor|...\n\
+         \x20 --matcher exact|greedy|ld-serial|ld-parallel|ld-parallel-1side|path-growing|auction\n\
          \x20 --mmap DIR                     out-of-core BP: stream S to DIR, mmap sweeps\n\
          \x20 --max-resident-mb N            resident budget for --mmap (exit 6 if infeasible)\n\
          \x20 --dist-workers N               run BP across N worker processes over localhost TCP\n\
@@ -242,31 +242,12 @@ fn load_problem(flags: &HashMap<String, String>) -> NetAlignProblem {
     NetAlignProblem::new(a, b, l)
 }
 
-/// Map a `--matcher` value to the one-shot matcher kind plus, for the
-/// `ld`/`suitor` shorthands, the preallocated rounding engine backing
-/// the per-iteration matchings.
-fn parse_matcher(name: &str) -> (MatcherKind, Option<RoundingMatcher>) {
-    match name {
-        "exact" => (MatcherKind::Exact, None),
-        "greedy" => (MatcherKind::Greedy, None),
-        "ld-serial" => (MatcherKind::LocalDominant, None),
-        "ld-parallel" => (MatcherKind::ParallelLocalDominant, None),
-        "ld-parallel-1side" => (MatcherKind::ParallelLocalDominantOneSide, None),
-        "suitor-serial" => (MatcherKind::Suitor, None),
-        "suitor-parallel" => (MatcherKind::ParallelSuitor, None),
-        "suitor-external" => (MatcherKind::ExternalSuitor, None),
-        "path-growing" => (MatcherKind::PathGrowing, None),
-        "auction" => (MatcherKind::Auction { eps_rel: 1e-4 }, None),
-        "ld" => (
-            MatcherKind::ParallelLocalDominant,
-            Some(RoundingMatcher::Ld),
-        ),
-        "suitor" => (MatcherKind::ParallelSuitor, Some(RoundingMatcher::Suitor)),
-        other => {
-            eprintln!("unknown matcher '{other}'");
-            exit(exitcode::USAGE)
-        }
-    }
+/// Map a `--matcher` value, a [`MatcherKind::name`], to its kind.
+fn parse_matcher(name: &str) -> MatcherKind {
+    MatcherKind::from_name(name).unwrap_or_else(|| {
+        eprintln!("unknown matcher '{name}'");
+        exit(exitcode::USAGE)
+    })
 }
 
 fn cmd_stats(flags: &HashMap<String, String>) {
@@ -297,7 +278,7 @@ fn cmd_stats(flags: &HashMap<String, String>) {
 
 fn cmd_align(flags: &HashMap<String, String>) {
     let method = get_or(flags, "method", "bp");
-    let (matcher, rounding) = parse_matcher(get_or(flags, "matcher", "exact"));
+    let matcher = parse_matcher(get_or(flags, "matcher", "exact"));
     let cfg = AlignConfig {
         alpha: parse_num(get_or(flags, "alpha", "1.0"), "alpha"),
         beta: parse_num(get_or(flags, "beta", "2.0"), "beta"),
@@ -306,7 +287,6 @@ fn cmd_align(flags: &HashMap<String, String>) {
         mstep: parse_num(get_or(flags, "mstep", "10"), "mstep"),
         batch: parse_num(get_or(flags, "batch", "1"), "batch"),
         matcher,
-        rounding,
         final_exact_round: get_or(flags, "final-exact", "true") == "true",
         ..Default::default()
     };
@@ -578,9 +558,6 @@ fn cmd_align(flags: &HashMap<String, String>) {
     let secs = start.elapsed().as_secs_f64();
     println!("method    : {method}");
     println!("matcher   : {}", cfg.matcher.name());
-    if let Some(kind) = cfg.rounding {
-        println!("rounding  : {kind:?} engine");
-    }
     println!("objective : {:.4}", r.objective);
     println!("weight    : {:.4}", r.weight);
     println!("overlap   : {:.1}", r.overlap);

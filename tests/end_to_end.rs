@@ -13,10 +13,7 @@ fn all_matchers() -> Vec<MatcherKind> {
         MatcherKind::LocalDominant,
         MatcherKind::ParallelLocalDominant,
         MatcherKind::ParallelLocalDominantOneSide,
-        MatcherKind::Suitor,
-        MatcherKind::ParallelSuitor,
         MatcherKind::PathGrowing,
-        MatcherKind::ExternalSuitor,
         MatcherKind::Auction { eps_rel: 1e-4 },
     ]
 }

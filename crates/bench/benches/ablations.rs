@@ -7,7 +7,7 @@
 //!   faster).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netalign_core::bp::othermax::othermaxrow_into;
+use netalign_core::bp::othermax::vertex_stats_into;
 use netalign_core::prelude::*;
 use netalign_data::standins::StandIn;
 use netalign_matching::approx::{parallel_local_dominant, InitStrategy, ParallelLdOptions};
@@ -23,11 +23,11 @@ fn bench_chunk_size(c: &mut Criterion) {
     group.sample_size(20);
     for chunk in [1usize, 10, 100, 1000, 10000] {
         group.bench_with_input(BenchmarkId::from_parameter(chunk), &chunk, |b, &chunk| {
-            let mut out = vec![0.0; m];
-            let mut stats = vec![(0.0, 0.0, 0usize); l.num_left()];
+            let mut rows = vec![(0.0, 0.0, 0usize); l.num_left()];
+            let mut cols = vec![(0.0, 0.0, 0usize); l.num_right()];
             b.iter(|| {
-                othermaxrow_into(l, &g, &mut out, &mut stats, chunk);
-                black_box(&out);
+                vertex_stats_into(l, &g, &g, &mut rows, &mut cols, chunk);
+                black_box((&rows, &cols));
             })
         });
     }

@@ -1,7 +1,7 @@
 //! Belief propagation for network alignment (paper Listing 2 / §III.B,
 //! parallelization per §IV.C).
 //!
-//! Per iteration `k`:
+//! Per iteration `k`, Listing 2 reads:
 //!
 //! 1. `F = bound₀^β (β·S + S⁽ᵏ⁻¹⁾ᵀ)` — elementwise over the fixed
 //!    pattern of `S`, the transpose read through the value permutation;
@@ -18,10 +18,29 @@
 //!    Either way the staged vectors are rounded concurrently, one
 //!    contiguous run per rounding lane.
 //!
-//! Steps 1 and 2 are **fused** into one row-parallel sweep over the
-//! pattern of `S`: each row of `F` is written and summed in the same
-//! pass, with the transpose read through the value permutation — no
-//! materialized `S⁽ᵏ⁻¹⁾ᵀ` buffer, one fewer traversal of `nnz` data.
+//! Steps 1–5 run as **three parallel passes**, each one published
+//! region of the pool:
+//!
+//! * **pass 1** fuses steps 1 and 2 into one row-parallel sweep over
+//!   the pattern of `S`: each row of `F` is written and summed in the
+//!   same pass, with the transpose read through the value permutation
+//!   — no materialized `S⁽ᵏ⁻¹⁾ᵀ` buffer;
+//! * **pass 2** takes the per-vertex `max2` statistics of `y⁽ᵏ⁻¹⁾`
+//!   (left vertices) and `z⁽ᵏ⁻¹⁾` (right vertices) as one `join`
+//!   ([`othermax::vertex_stats_into`]);
+//! * **pass 3** walks the row spans of `S` once. For each edge it reads
+//!   both othermax values from those statistics, forms `y`, `z` and the
+//!   row scale `y + z − d` from the undamped values, damps `y` and `z`,
+//!   writes the damped row `γᵏ·(scale − F) + (1 − γᵏ)·S⁽ᵏ⁻¹⁾`, and
+//!   counts the non-finite values it wrote.
+//!
+//! The committed iterate `(y, z, S)` is read-only during a step: the
+//! passes write a second buffer set, which is swapped in when the count
+//! is zero. The numeric guard's rollback is therefore free — the
+//! committed iterate simply stays — and halves the damping base. Every
+//! f64 operation keeps the operands and order of the step-by-step form
+//! (`y = d − omc`, `scale = (y + z) − d`, `γᵏ·x + (1 − γᵏ)·prev`), so the
+//! results are bit-identical at every pool size.
 //!
 //! The rounding step is the only place the matching algorithm appears;
 //! the iterates themselves are independent of it (paper §VII), which is
@@ -29,19 +48,19 @@
 //! Every rounding lane owns one [`MatcherEngine`] of
 //! [`AlignConfig::matcher`]'s kind.
 //!
-//! All state lives in a [`BpEngine`]: buffers are allocated once in
-//! [`BpEngine::new`] and the steady-state loop
-//! ([`BpEngine::step`] / [`BpEngine::round_pending`]) is
-//! allocation-free (paper §IV: "no dynamic memory allocations") —
-//! pending rounding vectors are staged in pooled buffers that are
-//! recycled after every flush.
+//! All state lives in a [`BpEngine`]: the committed iterate, its output
+//! twin and the pass scratch are allocated once in [`BpEngine::new`],
+//! and the steady-state loop ([`BpEngine::step`] /
+//! [`BpEngine::round_pending`]) is allocation-free (paper §IV: "no
+//! dynamic memory allocations") — pending rounding vectors are staged
+//! in pooled buffers that are recycled after every flush.
 
 pub mod othermax;
 
 use crate::checkpoint::BpState;
 use crate::config::AlignConfig;
 use crate::objective::{evaluate_matching, evaluate_matching_with_scratch, ObjectiveValue};
-use crate::oocore::{OocError, OocOptions, OocState, Superblock};
+use crate::oocore::{OocError, OocOptions, OocState};
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
 use crate::rounding::{round_heuristic, RoundedSolution};
@@ -50,11 +69,12 @@ use crate::squares::SquaresMatrix;
 use crate::trace::{faults, MatcherCounters, RunTrace, Step};
 use netalign_graph::mmap::Advice;
 use netalign_graph::nacs::Section;
-use netalign_graph::VertexId;
+use netalign_graph::BipartiteGraph;
 use netalign_matching::{max_weight_matching_traced, MatcherEngine, MatcherKind, Matching};
-use othermax::{column_positions, othermaxcol_into, othermaxrow_into};
+use othermax::{column_positions, othermax, vertex_stats_into, Max2};
 use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Work-chunk size for the dynamic-scheduling analog of the paper's
@@ -72,16 +92,6 @@ pub(crate) fn install_fault_hook() {
         rayon::set_chunk_fault_hook(Some(faults::chunk_claim_tick));
         rayon::set_chunk_cancel_hook(Some(crate::trace::cancel::chunk_probe));
     });
-}
-
-/// True iff every element of `v` is finite — the guard-rail read pass,
-/// parallel over the same chunk decomposition as the kernels.
-pub(crate) fn all_finite(v: &[f64]) -> bool {
-    v.par_iter()
-        .with_min_len(CHUNK)
-        .map(|&x| if x.is_finite() { 0u64 } else { 1 })
-        .sum::<u64>()
-        == 0
 }
 
 /// Run belief propagation on `problem` with `config`.
@@ -114,30 +124,27 @@ pub struct BpEngine<'a> {
     /// each numeric recovery (so a rolled-back run re-approaches the
     /// fixed point more conservatively).
     gamma: f64,
-    // Iterate state: y/z messages over E_L, S^(k) values over the
-    // pattern, plus the derived d, F and othermax scratch.
+    // The committed iterate: y/z messages over E_L and S^(k) values
+    // over the pattern. Zeros initially — BP's own starting point, so
+    // a first-iteration rollback is well defined. Read-only during a
+    // step.
     y: Vec<f64>,
     z: Vec<f64>,
-    y_prev: Vec<f64>,
-    z_prev: Vec<f64>,
-    d: Vec<f64>,
     sk: Vec<f64>,
-    sk_prev: Vec<f64>,
-    // Last verified-finite damped iterate (the rollback target of the
-    // numeric guard); empty when guards are off. Zeros initially — the
-    // zero iterate is BP's own starting point, so a first-iteration
-    // rollback is well defined.
-    safe_y: Vec<f64>,
-    safe_z: Vec<f64>,
-    safe_sk: Vec<f64>,
+    // The step's output, swapped with the committed iterate when it
+    // is finite (always, with guards off).
+    y_next: Vec<f64>,
+    z_next: Vec<f64>,
+    sk_next: Vec<f64>,
+    // Pass scratch: d and F from pass 1, the per-vertex othermax
+    // statistics from pass 2.
+    d: Vec<f64>,
     fv: Vec<f64>,
-    omr: Vec<f64>,
-    omc: Vec<f64>,
+    row_stats: Vec<Max2>,
+    col_stats: Vec<Max2>,
     // Loop-invariant structure, computed once per run.
     col_pos: Vec<u32>,
     spans: RowSpans,
-    row_stats: Vec<(f64, f64, usize)>,
-    col_stats: Vec<(f64, f64, usize)>,
     // Rounding bookkeeping: staged vectors (and their iterations)
     // awaiting a batched rounding, plus the pool their buffers return
     // to afterward.
@@ -161,8 +168,8 @@ pub struct BpEngine<'a> {
     // a later structural delta can be replayed sparsely (crate::delta).
     recorder: Option<crate::delta::TrajectoryRecorder>,
     // Out-of-core mode (crate::oocore): the nnz-sized iterate streams
-    // live in spilled scratch files and `sk`/`sk_prev`/`fv`/`safe_sk`
-    // above stay empty. `None` = the ordinary in-core engine.
+    // live in spilled scratch files and `sk`/`sk_next`/`fv` above stay
+    // empty. `None` = the ordinary in-core engine.
     ooc: Option<OocState>,
     // Observability.
     trace: RunTrace,
@@ -233,7 +240,6 @@ impl<'a> BpEngine<'a> {
         install_fault_hook();
         let m = p.l.num_edges();
         let nnz = if nnz_state { p.s.nnz() } else { 0 };
-        let guards = config.numeric_guards;
         let mut trace = RunTrace::new();
         trace.reserve_iterations(config.iterations);
         let batch_cap = config.batch.max(1) * 2 + 2;
@@ -244,21 +250,16 @@ impl<'a> BpEngine<'a> {
             gamma: config.gamma,
             y: vec![0.0; m],
             z: vec![0.0; m],
-            y_prev: vec![0.0; m],
-            z_prev: vec![0.0; m],
-            d: vec![0.0; m],
             sk: vec![0.0; nnz],
-            sk_prev: vec![0.0; nnz],
-            safe_y: vec![0.0; if guards { m } else { 0 }],
-            safe_z: vec![0.0; if guards { m } else { 0 }],
-            safe_sk: vec![0.0; if guards { nnz } else { 0 }],
+            y_next: vec![0.0; m],
+            z_next: vec![0.0; m],
+            sk_next: vec![0.0; nnz],
+            d: vec![0.0; m],
             fv: vec![0.0; nnz],
-            omr: vec![0.0; m],
-            omc: vec![0.0; m],
-            col_pos: column_positions(&p.l),
-            spans: RowSpans::from_rowptr(p.s.rowptr()),
             row_stats: vec![(0.0, 0.0, 0); p.l.num_left()],
             col_stats: vec![(0.0, 0.0, 0); p.l.num_right()],
+            col_pos: column_positions(&p.l),
+            spans: RowSpans::from_rowptr(p.s.rowptr()),
             pending_iter: Vec::with_capacity(batch_cap),
             pending_bufs: Vec::with_capacity(batch_cap),
             buf_pool: Vec::with_capacity(batch_cap),
@@ -289,18 +290,13 @@ impl<'a> BpEngine<'a> {
         self.k
     }
 
-    /// Run one BP iteration (Listing 2 steps 1–5) and stage the new
-    /// `y`/`z` iterates for rounding. Allocation-free after the first
-    /// `2·batch` iterations warmed up the staging pool.
+    /// Run one BP iteration (Listing 2 steps 1–5, as the three passes
+    /// of the module docs) and stage the new `y`/`z` iterates for
+    /// rounding. Allocation-free after the first `2·batch` iterations
+    /// warmed up the staging pool. Out of core, every pass over the
+    /// pattern of `S` is a *sequential* superblock sweep over spilled
+    /// streams (see [`crate::oocore`]).
     pub fn step(&mut self) {
-        if self.ooc.is_some() {
-            // Take the state out so the sweep can borrow it alongside
-            // the engine's own buffers; reinstalled unconditionally.
-            let mut ooc = self.ooc.take().expect("checked is_some");
-            self.step_ooc(&mut ooc);
-            self.ooc = Some(ooc);
-            return;
-        }
         self.k += 1;
         let k = self.k;
         if faults::active() {
@@ -309,122 +305,104 @@ impl<'a> BpEngine<'a> {
         let p = self.p;
         let (alpha, beta) = (self.config.alpha, self.config.beta);
         let gk = self.config.damping.fresh_weight(self.gamma, k);
-        let w = p.l.weights();
-        let rowptr = p.s.rowptr();
         let m = p.l.num_edges();
         let nnz = p.s.nnz();
 
-        // Steps 1+2 fused: F = bound_0^beta(beta*S + S^(k-1)^T) and
-        // d = alpha*w + F e in one row-parallel sweep.
+        // Pass 1, steps 1+2: F = bound_0^beta(beta*S + S^(k-1)^T) and
+        // d = alpha*w + F e in one row-parallel sweep. Out of core, F
+        // is recomputed in pass 3 instead of stored.
         let t0 = Instant::now();
-        fused_f_d(
-            &p.s,
-            &self.spans,
-            &self.sk_prev,
-            w,
-            alpha,
-            beta,
-            &mut self.fv,
-            &mut self.d,
-        );
+        match &self.ooc {
+            None => fused_f_d(
+                &p.s,
+                &self.spans,
+                &self.sk,
+                p.l.weights(),
+                alpha,
+                beta,
+                &mut self.fv,
+                &mut self.d,
+            ),
+            Some(ooc) => ooc.fused_d(p, alpha, beta, &mut self.d),
+        }
         self.trace.add(Step::ComputeF, t0.elapsed());
 
-        // Step 3: othermax sweeps (use previous iterates). The two
-        // sweeps are independent, so they run as parallel tasks — the
-        // reorganization the paper's §IX suggests as future work.
+        // Pass 2: the othermax statistics of the committed messages.
         let t0 = Instant::now();
-        rayon::join(
-            || {
-                othermaxcol_into(
-                    &p.l,
-                    &self.z_prev,
-                    &self.col_pos,
-                    &mut self.omc,
-                    &mut self.col_stats,
-                    CHUNK,
-                )
-            },
-            || {
-                othermaxrow_into(
-                    &p.l,
-                    &self.y_prev,
-                    &mut self.omr,
-                    &mut self.row_stats,
-                    CHUNK,
-                )
-            },
-        );
-        self.y
-            .par_iter_mut()
-            .with_min_len(CHUNK)
-            .zip(self.d.par_iter().with_min_len(CHUNK))
-            .zip(self.omc.par_iter().with_min_len(CHUNK))
-            .for_each(|((yi, &di), &oi)| *yi = di - oi);
-        self.z
-            .par_iter_mut()
-            .with_min_len(CHUNK)
-            .zip(self.d.par_iter().with_min_len(CHUNK))
-            .zip(self.omr.par_iter().with_min_len(CHUNK))
-            .for_each(|((zi, &di), &oi)| *zi = di - oi);
-        self.trace.add(Step::OtherMax, t0.elapsed());
-
-        // Step 4: S^(k) = diag(y + z - d) S - F, row-parallel over the
-        // precomputed span decomposition of the fixed pattern.
-        let t0 = Instant::now();
-        sk_rowwise_update(
-            rowptr,
-            &self.spans,
-            &mut self.sk,
+        vertex_stats_into(
+            &p.l,
             &self.y,
             &self.z,
-            &self.d,
-            &self.fv,
+            &mut self.row_stats,
+            &mut self.col_stats,
+            CHUNK,
         );
+        self.trace.add(Step::OtherMax, t0.elapsed());
+
+        // Pass 3, steps 3–5 and the finite count of the guard.
+        let t0 = Instant::now();
+        let u = EdgeUpdate {
+            l: &p.l,
+            col_pos: &self.col_pos,
+            row_stats: &self.row_stats,
+            col_stats: &self.col_stats,
+            d: &self.d,
+            y: &self.y,
+            z: &self.z,
+            gk,
+        };
+        let mut nonfinite = match &mut self.ooc {
+            None => update_pass(
+                &u,
+                p.s.rowptr(),
+                &self.spans,
+                &self.fv,
+                &self.sk,
+                &mut self.sk_next,
+                &mut self.y_next,
+                &mut self.z_next,
+            ),
+            // The S sweep reads other rows' scales through the
+            // transpose companion, so every scale is in place first.
+            Some(ooc) => {
+                message_pass(
+                    &u,
+                    &self.spans,
+                    &mut ooc.scale,
+                    &mut self.y_next,
+                    &mut self.z_next,
+                ) + ooc.update_s(p, beta, gk)
+            }
+        };
         self.trace.add(Step::UpdateS, t0.elapsed());
 
-        // Step 5: damping toward the previous iterate.
-        let t0 = Instant::now();
-        damp(&mut self.y, &mut self.y_prev, gk);
-        damp(&mut self.z, &mut self.z_prev, gk);
-        damp(&mut self.sk, &mut self.sk_prev, gk);
-        self.trace.add(Step::Damping, t0.elapsed());
-
         if faults::active() && faults::nan_due("bp.damping", k as u64) {
-            self.y[0] = f64::NAN;
+            self.y_next[0] = f64::NAN;
+            nonfinite += 1;
         }
 
-        // Guard rail: verify the damped iterate is finite before it can
-        // poison the `γᵏ` interpolation of every later iteration. On
-        // failure, roll back to the last finite iterate and halve the
-        // damping base.
-        if self.config.numeric_guards {
-            let t0 = Instant::now();
-            let finite = all_finite(&self.y) && all_finite(&self.z) && all_finite(&self.sk);
-            if finite {
-                self.safe_y.copy_from_slice(&self.y);
-                self.safe_z.copy_from_slice(&self.z);
-                self.safe_sk.copy_from_slice(&self.sk);
-                self.trace.add(Step::Guard, t0.elapsed());
-            } else {
-                self.y.copy_from_slice(&self.safe_y);
-                self.y_prev.copy_from_slice(&self.safe_y);
-                self.z.copy_from_slice(&self.safe_z);
-                self.z_prev.copy_from_slice(&self.safe_z);
-                self.sk.copy_from_slice(&self.safe_sk);
-                self.sk_prev.copy_from_slice(&self.safe_sk);
-                self.gamma *= 0.5;
-                self.trace.algo.numeric_recoveries += 1;
-                self.trace.add(Step::Guard, t0.elapsed());
-                // Nothing of this iteration survives: no messages were
-                // produced and no iterate is staged for rounding. The
-                // trajectory still needs this iteration's (rolled-back)
-                // state so slot `k` stays the post-iteration-`k` state.
-                if let Some(rec) = &mut self.recorder {
-                    rec.note_recovery();
-                    rec.record_iteration(k, &self.y, &self.z, &self.sk);
-                }
-                return;
+        // Guard rail: a non-finite iterate would poison the `γᵏ`
+        // interpolation of every later iteration, so it is never
+        // committed. The committed iterate stays the last finite one,
+        // and the damping base halves.
+        if self.config.numeric_guards && nonfinite > 0 {
+            self.gamma *= 0.5;
+            self.trace.algo.numeric_recoveries += 1;
+            // Nothing of this iteration survives: no messages were
+            // produced and no iterate is staged for rounding. The
+            // trajectory still needs this iteration's (rolled-back)
+            // state so slot `k` stays the post-iteration-`k` state.
+            if let Some(rec) = &mut self.recorder {
+                rec.note_recovery();
+                rec.record_iteration(k, &self.y, &self.z, &self.sk);
             }
+            return;
+        }
+        std::mem::swap(&mut self.y, &mut self.y_next);
+        std::mem::swap(&mut self.z, &mut self.z_next);
+        std::mem::swap(&mut self.sk, &mut self.sk_next);
+        if let Some(ooc) = &mut self.ooc {
+            ooc.advance();
         }
 
         // The y/z/sk entries rewritten this iteration are BP's
@@ -445,165 +423,6 @@ impl<'a> BpEngine<'a> {
         if let Some(rec) = &mut self.recorder {
             rec.record_iteration(k, &self.y, &self.z, &self.sk);
         }
-    }
-
-    /// Out-of-core iteration: same Listing 2 steps, but every pass
-    /// over the pattern of `S` is a *sequential* superblock sweep over
-    /// spilled streams (see [`crate::oocore`] for the reformulation
-    /// and the bit-identity argument), releasing pages behind it.
-    fn step_ooc(&mut self, ooc: &mut OocState) {
-        self.k += 1;
-        let k = self.k;
-        if faults::active() {
-            faults::panic_point("bp.step", k as u64);
-        }
-        let p = self.p;
-        let (alpha, beta) = (self.config.alpha, self.config.beta);
-        let gk = self.config.damping.fresh_weight(self.gamma, k);
-        let w = p.l.weights();
-        let rowptr = p.s.rowptr();
-        let colidx = p.s.colidx();
-        let m = p.l.num_edges();
-        let nnz = p.s.nnz();
-
-        // Steps 1+2 fused: d from the transpose companion, read in
-        // storage order. F is recomputed in the update sweep instead
-        // of stored — same bits, one fewer nnz stream resident.
-        let t0 = Instant::now();
-        for sb in &ooc.superblocks {
-            ooc.skt_prev.advise_sequential(sb.entries.clone());
-            ooc_fused_d(
-                rowptr,
-                sb,
-                ooc.skt_prev.as_slice(),
-                w,
-                alpha,
-                beta,
-                &mut self.d[sb.rows.clone()],
-            );
-            ooc.skt_prev.release(sb.entries.clone());
-        }
-        self.trace.add(Step::ComputeF, t0.elapsed());
-
-        // Step 3: identical to the in-core engine — only m-sized state.
-        let t0 = Instant::now();
-        rayon::join(
-            || {
-                othermaxcol_into(
-                    &p.l,
-                    &self.z_prev,
-                    &self.col_pos,
-                    &mut self.omc,
-                    &mut self.col_stats,
-                    CHUNK,
-                )
-            },
-            || {
-                othermaxrow_into(
-                    &p.l,
-                    &self.y_prev,
-                    &mut self.omr,
-                    &mut self.row_stats,
-                    CHUNK,
-                )
-            },
-        );
-        self.y
-            .par_iter_mut()
-            .with_min_len(CHUNK)
-            .zip(self.d.par_iter().with_min_len(CHUNK))
-            .zip(self.omc.par_iter().with_min_len(CHUNK))
-            .for_each(|((yi, &di), &oi)| *yi = di - oi);
-        self.z
-            .par_iter_mut()
-            .with_min_len(CHUNK)
-            .zip(self.d.par_iter().with_min_len(CHUNK))
-            .zip(self.omr.par_iter().with_min_len(CHUNK))
-            .for_each(|((zi, &di), &oi)| *zi = di - oi);
-        self.trace.add(Step::OtherMax, t0.elapsed());
-
-        // Steps 4+5 (S part), fused with damping: precompute the row
-        // scale from the *undamped* y/z (as in-core step 4 does), then
-        // advance sk and its transpose companion in one sequential
-        // sweep, counting non-finite values inline for the guard.
-        let t0 = Instant::now();
-        ooc.scale
-            .par_iter_mut()
-            .with_min_len(CHUNK)
-            .zip(self.y.par_iter().with_min_len(CHUNK))
-            .zip(self.z.par_iter().with_min_len(CHUNK))
-            .zip(self.d.par_iter().with_min_len(CHUNK))
-            .for_each(|(((s, &yi), &zi), &di)| *s = yi + zi - di);
-        let mut nonfinite = 0u64;
-        for sb in &ooc.superblocks {
-            ooc.sk_prev.advise_sequential(sb.entries.clone());
-            ooc.skt_prev.advise_sequential(sb.entries.clone());
-            nonfinite += ooc_sk_update(
-                rowptr,
-                colidx,
-                sb,
-                ooc.sk_prev.as_slice(),
-                ooc.skt_prev.as_slice(),
-                &ooc.scale,
-                beta,
-                gk,
-                &mut ooc.sk.as_mut_slice()[sb.entries.clone()],
-                &mut ooc.skt.as_mut_slice()[sb.entries.clone()],
-            );
-            ooc.sk.release(sb.entries.clone());
-            ooc.skt.release(sb.entries.clone());
-            ooc.sk_prev.release(sb.entries.clone());
-            ooc.skt_prev.release(sb.entries.clone());
-        }
-        self.trace.add(Step::UpdateS, t0.elapsed());
-
-        // Step 5 (y/z): the sk damping already happened in the sweep.
-        let t0 = Instant::now();
-        damp(&mut self.y, &mut self.y_prev, gk);
-        damp(&mut self.z, &mut self.z_prev, gk);
-        self.trace.add(Step::Damping, t0.elapsed());
-
-        if faults::active() && faults::nan_due("bp.damping", k as u64) {
-            self.y[0] = f64::NAN;
-        }
-
-        // Guard rail: same decision as in-core (the inline count sees
-        // bit-identical sk values). The ping/pong swap replaces the
-        // `safe_sk` copy: the prev streams are only ever overwritten
-        // *after* an iterate verified finite, so on rollback they
-        // already hold the in-core rollback target.
-        if self.config.numeric_guards {
-            let t0 = Instant::now();
-            let finite = all_finite(&self.y) && all_finite(&self.z) && nonfinite == 0;
-            if finite {
-                self.safe_y.copy_from_slice(&self.y);
-                self.safe_z.copy_from_slice(&self.z);
-                ooc.advance();
-                self.trace.add(Step::Guard, t0.elapsed());
-            } else {
-                self.y.copy_from_slice(&self.safe_y);
-                self.y_prev.copy_from_slice(&self.safe_y);
-                self.z.copy_from_slice(&self.safe_z);
-                self.z_prev.copy_from_slice(&self.safe_z);
-                self.gamma *= 0.5;
-                self.trace.algo.numeric_recoveries += 1;
-                self.trace.add(Step::Guard, t0.elapsed());
-                return;
-            }
-        } else {
-            ooc.advance();
-        }
-
-        self.trace.algo.messages_updated += (2 * m + nnz) as u64;
-
-        let mut buf = self.buf_pool.pop().unwrap_or_else(|| vec![0.0; m]);
-        buf.copy_from_slice(&self.y);
-        self.pending_bufs.push(buf);
-        self.pending_iter.push(k);
-        let mut buf = self.buf_pool.pop().unwrap_or_else(|| vec![0.0; m]);
-        buf.copy_from_slice(&self.z);
-        self.pending_bufs.push(buf);
-        self.pending_iter.push(k);
     }
 
     /// Whether the staged iterates should be rounded now: the batch is
@@ -765,9 +584,10 @@ impl<'a> BpEngine<'a> {
         self.recorder.take()
     }
 
-    /// Snapshot the engine for [`crate::checkpoint`]. Taken at an
-    /// iteration boundary, the damped previous iterates equal the
-    /// current ones, so only the current iterate is captured.
+    /// Snapshot the engine for [`crate::checkpoint`]. Between steps
+    /// the committed iterate is the whole iterate state (the output
+    /// buffers are overwritten by the next step), so only it is
+    /// captured.
     pub fn checkpoint_state(&self) -> BpState {
         assert!(
             self.ooc.is_none(),
@@ -798,16 +618,8 @@ impl<'a> BpEngine<'a> {
         self.k = state.k;
         self.gamma = state.gamma;
         self.y.copy_from_slice(&state.y);
-        self.y_prev.copy_from_slice(&state.y);
         self.z.copy_from_slice(&state.z);
-        self.z_prev.copy_from_slice(&state.z);
         self.sk.copy_from_slice(&state.sk);
-        self.sk_prev.copy_from_slice(&state.sk);
-        if self.config.numeric_guards {
-            self.safe_y.copy_from_slice(&state.y);
-            self.safe_z.copy_from_slice(&state.z);
-            self.safe_sk.copy_from_slice(&state.sk);
-        }
         self.pending_iter = state.pending_iter;
         self.pending_bufs = state.pending_bufs;
         self.best = state.best;
@@ -846,16 +658,16 @@ impl<'a> BpEngine<'a> {
     }
 }
 
-/// Fused Listing 2 steps 1+2: one row-parallel sweep over the fixed
-/// pattern of `S` computes `F[e, :] = bound₀^β(β + S⁽ᵏ⁻¹⁾ᵀ[e, :])`
-/// (the transpose read in place through the value permutation — no
-/// materialized `S⁽ᵏ⁻¹⁾ᵀ`) and its row sum `d[e] = α·w[e] + Σ F[e, :]`
-/// in the same pass.
+/// Pass 1, fused Listing 2 steps 1+2: one row-parallel sweep over the
+/// fixed pattern of `S` computes `F[e, :] = bound₀^β(β + S⁽ᵏ⁻¹⁾ᵀ[e, :])`
+/// (the transpose of the committed `sk` read in place through the
+/// value permutation — no materialized `S⁽ᵏ⁻¹⁾ᵀ`) and its row sum
+/// `d[e] = α·w[e] + Σ F[e, :]` in the same pass.
 #[allow(clippy::too_many_arguments)]
 fn fused_f_d(
     s: &SquaresMatrix,
     spans: &RowSpans,
-    sk_prev: &[f64],
+    sk: &[f64],
     w: &[f64],
     alpha: f64,
     beta: f64,
@@ -875,7 +687,7 @@ fn fused_f_d(
             for (de, e) in d_chunk.iter_mut().zip(rows) {
                 let mut acc = 0.0;
                 for idx in rowptr[e]..rowptr[e + 1] {
-                    let f = (beta + sk_prev[perm[idx]]).clamp(0.0, beta);
+                    let f = (beta + sk[perm[idx]]).clamp(0.0, beta);
                     fv_chunk[idx - base] = f;
                     acc += f;
                 }
@@ -884,122 +696,127 @@ fn fused_f_d(
         });
 }
 
-/// `S^(k)[e, :] = (y[e] + z[e] - d[e]) - F[e, :]` over the fixed
-/// pattern, row-parallel through the precomputed span decomposition
-/// (no per-call slice vector).
-fn sk_rowwise_update(
+/// Step 5's interpolation of one value: `γᵏ·fresh + (1 − γᵏ)·prev`.
+#[inline]
+pub(crate) fn damped(gk: f64, fresh: f64, prev: f64) -> f64 {
+    gk * fresh + (1.0 - gk) * prev
+}
+
+/// What pass 3 reads to update the messages of one edge of `L`: `d`
+/// from pass 1, the per-vertex statistics of pass 2, and the committed
+/// `y`, `z` that damping interpolates toward.
+struct EdgeUpdate<'s> {
+    l: &'s BipartiteGraph,
+    col_pos: &'s [u32],
+    row_stats: &'s [Max2],
+    col_stats: &'s [Max2],
+    d: &'s [f64],
+    y: &'s [f64],
+    z: &'s [f64],
+    gk: f64,
+}
+
+impl EdgeUpdate<'_> {
+    /// Listing 2 steps 3–5 for edge `e`: the damped `y[e]` and `z[e]`,
+    /// and the row scale `y + z − d` of the undamped messages.
+    #[inline]
+    fn at(&self, e: usize) -> (f64, f64, f64) {
+        let (a, b) = self.l.endpoints(e);
+        let omr = othermax(self.row_stats[a as usize], e - self.l.left_range(a).start);
+        let omc = othermax(self.col_stats[b as usize], self.col_pos[e] as usize);
+        let d = self.d[e];
+        let (y, z) = (d - omc, d - omr);
+        (
+            damped(self.gk, y, self.y[e]),
+            damped(self.gk, z, self.z[e]),
+            y + z - d,
+        )
+    }
+
+    /// The per-edge update over the edges `rows` (one span group),
+    /// writing the damped messages into the group's `y_next`/`z_next`
+    /// chunks and handing each edge's row scale to `row`, which returns
+    /// the count of non-finite values it wrote. Returns the group's
+    /// total count, messages included.
+    #[inline]
+    fn rows(
+        &self,
+        rows: Range<usize>,
+        y_next: &mut [f64],
+        z_next: &mut [f64],
+        mut row: impl FnMut(usize, f64) -> u64,
+    ) -> u64 {
+        let mut bad = 0;
+        for ((e, yn), zn) in rows.zip(y_next).zip(z_next) {
+            let (y, z, scale) = self.at(e);
+            (*yn, *zn) = (y, z);
+            bad += u64::from(!y.is_finite()) + u64::from(!z.is_finite()) + row(e, scale);
+        }
+        bad
+    }
+}
+
+/// Pass 3 in core: one row-parallel sweep over the span groups of `S`
+/// that updates each edge's messages and then its damped `S` row,
+/// `sk_next[idx] = γᵏ·(scale − F[idx]) + (1 − γᵏ)·sk[idx]` with `F` from
+/// pass 1. Returns the count of non-finite values written.
+#[allow(clippy::too_many_arguments)]
+fn update_pass(
+    u: &EdgeUpdate,
     rowptr: &[usize],
     spans: &RowSpans,
-    sk: &mut [f64],
-    y: &[f64],
-    z: &[f64],
-    d: &[f64],
     fv: &[f64],
-) {
+    sk: &[f64],
+    sk_next: &mut [f64],
+    y_next: &mut [f64],
+    z_next: &mut [f64],
+) -> u64 {
     let row_bounds = spans.row_bounds();
     let entry_bounds = spans.entry_bounds();
-    par_uneven_chunks_mut(sk, entry_bounds)
+    par_uneven_chunks_mut(sk_next, entry_bounds)
+        .zip(par_uneven_chunks_mut(y_next, row_bounds))
+        .zip(par_uneven_chunks_mut(z_next, row_bounds))
         .enumerate()
-        .for_each(|(g, sk_chunk)| {
+        .map(|(g, ((sk_chunk, y_chunk), z_chunk))| {
             let base = entry_bounds[g];
-            for e in row_bounds[g]..row_bounds[g + 1] {
-                let scale = y[e] + z[e] - d[e];
+            let rows = row_bounds[g]..row_bounds[g + 1];
+            u.rows(rows, y_chunk, z_chunk, |e, scale| {
+                let mut bad = 0;
                 for idx in rowptr[e]..rowptr[e + 1] {
-                    sk_chunk[idx - base] = scale - fv[idx];
-                }
-            }
-        });
-}
-
-/// Out-of-core steps 1+2 over one superblock: `d[r] = α·w[r] +
-/// Σ bound₀^β(β + skt_prev[idx])`, the transpose read through the
-/// companion stream in storage order — no permutation gather, no
-/// stored `F`. Accumulation order matches [`fused_f_d`] exactly.
-fn ooc_fused_d(
-    rowptr: &[usize],
-    sb: &Superblock,
-    skt_prev: &[f64],
-    w: &[f64],
-    alpha: f64,
-    beta: f64,
-    d: &mut [f64],
-) {
-    let rb = &sb.rel_row_bounds;
-    let row0 = sb.rows.start;
-    par_uneven_chunks_mut(d, rb)
-        .enumerate()
-        .for_each(|(g, d_chunk)| {
-            let rows = (row0 + rb[g])..(row0 + rb[g + 1]);
-            for (de, e) in d_chunk.iter_mut().zip(rows) {
-                let mut acc = 0.0;
-                for idx in rowptr[e]..rowptr[e + 1] {
-                    let f = (beta + skt_prev[idx]).clamp(0.0, beta);
-                    acc += f;
-                }
-                *de = alpha * w[e] + acc;
-            }
-        });
-}
-
-/// Out-of-core steps 4+5 (S part) over one superblock, fused with
-/// damping: both the new `sk` and its transpose companion `skt` are
-/// produced in storage order —
-/// `sk[idx] = γ·(scale[row] − f) + (1−γ)·sk_prev[idx]` and
-/// `skt[idx] = γ·(scale[colidx[idx]] − fᵗ) + (1−γ)·skt_prev[idx]`
-/// with `f`/`fᵗ` the bound of the respective *other* stream (the
-/// involution `perm ∘ perm = id` makes both expressions exact
-/// transposes of each other). Only `scale` (m-sized, resident) is
-/// accessed randomly. Returns the count of non-finite new `sk`
-/// values for the numeric guard.
-#[allow(clippy::too_many_arguments)]
-fn ooc_sk_update(
-    rowptr: &[usize],
-    colidx: &[VertexId],
-    sb: &Superblock,
-    sk_prev: &[f64],
-    skt_prev: &[f64],
-    scale: &[f64],
-    beta: f64,
-    gk: f64,
-    sk: &mut [f64],
-    skt: &mut [f64],
-) -> u64 {
-    let rb = &sb.rel_row_bounds;
-    let eb = &sb.rel_entry_bounds;
-    let row0 = sb.rows.start;
-    let ent0 = sb.entries.start;
-    par_uneven_chunks_mut(sk, eb)
-        .zip(par_uneven_chunks_mut(skt, eb))
-        .enumerate()
-        .map(|(g, (sk_chunk, skt_chunk))| {
-            let base = ent0 + eb[g];
-            let mut bad = 0u64;
-            for e in (row0 + rb[g])..(row0 + rb[g + 1]) {
-                let sc = scale[e];
-                for idx in rowptr[e]..rowptr[e + 1] {
-                    let f = (beta + skt_prev[idx]).clamp(0.0, beta);
-                    let v = gk * (sc - f) + (1.0 - gk) * sk_prev[idx];
+                    let v = damped(u.gk, scale - fv[idx], sk[idx]);
                     sk_chunk[idx - base] = v;
                     bad += u64::from(!v.is_finite());
-                    let ft = (beta + sk_prev[idx]).clamp(0.0, beta);
-                    skt_chunk[idx - base] =
-                        gk * (scale[colidx[idx] as usize] - ft) + (1.0 - gk) * skt_prev[idx];
                 }
-            }
-            bad
+                bad
+            })
         })
         .sum()
 }
 
-/// `cur ← gk·cur + (1−gk)·prev`, then `prev ← cur`.
-fn damp(cur: &mut [f64], prev: &mut [f64], gk: f64) {
-    cur.par_iter_mut()
-        .with_min_len(CHUNK)
-        .zip(prev.par_iter_mut().with_min_len(CHUNK))
-        .for_each(|(c, p)| {
-            *c = gk * *c + (1.0 - gk) * *p;
-            *p = *c;
-        });
+/// Pass 3's message half out of core: the per-edge update alone, over
+/// the same span groups, keeping every row scale for the superblock
+/// sweep of `S` that follows ([`OocState::update_s`]). Returns the count
+/// of non-finite messages.
+fn message_pass(
+    u: &EdgeUpdate,
+    spans: &RowSpans,
+    scale: &mut [f64],
+    y_next: &mut [f64],
+    z_next: &mut [f64],
+) -> u64 {
+    let row_bounds = spans.row_bounds();
+    par_uneven_chunks_mut(scale, row_bounds)
+        .zip(par_uneven_chunks_mut(y_next, row_bounds))
+        .zip(par_uneven_chunks_mut(z_next, row_bounds))
+        .enumerate()
+        .map(|(g, ((scale_chunk, y_chunk), z_chunk))| {
+            let row0 = row_bounds[g];
+            u.rows(row0..row_bounds[g + 1], y_chunk, z_chunk, |e, s| {
+                scale_chunk[e - row0] = s;
+                0
+            })
+        })
+        .sum()
 }
 
 /// Shared tail of both aligners: round the best heuristic — with the

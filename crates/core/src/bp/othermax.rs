@@ -8,18 +8,25 @@
 //!   clamp to zero.
 //! * `othermaxcol` is the same per *right* vertex.
 //!
-//! Both are embarrassingly parallel over vertices; the left side's edge
-//! ranges are contiguous in the global order, the right side goes
-//! through the column CSR's edge-id list.
+//! BP never materializes either vector. [`vertex_stats_into`] takes
+//! one [`Max2`] statistic per vertex — pass 2 of an iteration, both
+//! sides as one `join` — and [`othermax`] reads an edge's value from
+//! its vertex's statistic inside pass 3's per-edge update. The left
+//! side's edge ranges are contiguous in the global order, the right
+//! side goes through the column CSR's edge-id list.
 
 use netalign_graph::{BipartiteGraph, VertexId};
 use rayon::prelude::*;
+
+/// Per-vertex `(max, second max, position of the max)` of a weight
+/// vector over the vertex's edge list, as [`max2`] computes it.
+pub type Max2 = (f64, f64, usize);
 
 /// Find `(max, second_max, argmax_position)` of an iterator of values.
 /// `pub(crate)` so the delta replay recomputes othermax entries with
 /// bit-identical comparison order.
 #[inline]
-pub(crate) fn max2(vals: impl Iterator<Item = f64>) -> (f64, f64, usize) {
+pub(crate) fn max2(vals: impl Iterator<Item = f64>) -> Max2 {
     let mut max1 = f64::NEG_INFINITY;
     let mut max2 = f64::NEG_INFINITY;
     let mut arg = usize::MAX;
@@ -35,45 +42,18 @@ pub(crate) fn max2(vals: impl Iterator<Item = f64>) -> (f64, f64, usize) {
     (max1, max2, arg)
 }
 
-/// `out = othermaxrow(g)`, parallel over left vertices. `stats` is
-/// caller-owned scratch of length `l.num_left()` (its contents are
-/// overwritten) — passing it in keeps the sweep allocation-free.
-pub fn othermaxrow_into(
-    l: &BipartiteGraph,
-    g: &[f64],
-    out: &mut [f64],
-    stats: &mut [(f64, f64, usize)],
-    chunk: usize,
-) {
-    assert_eq!(g.len(), l.num_edges());
-    assert_eq!(out.len(), l.num_edges());
-    assert_eq!(stats.len(), l.num_left());
-    // Two passes: per-vertex (max1, max2, argpos) stats, then a
-    // per-edge fill — both embarrassingly parallel, no disjoint-slice
-    // choreography needed.
-    stats
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(chunk)
-        .for_each(|(a, s)| {
-            let r = l.left_range(a as VertexId);
-            *s = max2(g[r].iter().copied());
-        });
-    out.par_iter_mut()
-        .enumerate()
-        .with_min_len(chunk)
-        .for_each(|(eid, o)| {
-            let a = l.endpoints(eid).0;
-            let (m1, m2, arg) = stats[a as usize];
-            let start = l.left_range(a).start;
-            let v = if eid - start == arg { m2 } else { m1 };
-            *o = v.max(0.0);
-        });
+/// `othermax` of the edge at position `pos` of its vertex's edge list,
+/// from that vertex's statistic: the largest sibling value (the second
+/// maximum when the edge holds the maximum), clamped at zero.
+#[inline]
+pub fn othermax((max1, max2, arg): Max2, pos: usize) -> f64 {
+    let v = if pos == arg { max2 } else { max1 };
+    v.max(0.0)
 }
 
 /// Precompute each edge's position within its right vertex's column
-/// list; lets [`othermaxcol_into`] avoid a per-edge scan. Build once
-/// per problem (the structure of `L` never changes).
+/// list, the `pos` of its `othermaxcol` lookup. Build once per problem
+/// (the structure of `L` never changes).
 pub fn column_positions(l: &BipartiteGraph) -> Vec<u32> {
     let mut pos = vec![0u32; l.num_edges()];
     for b in 0..l.num_right() as VertexId {
@@ -84,37 +64,41 @@ pub fn column_positions(l: &BipartiteGraph) -> Vec<u32> {
     pos
 }
 
-/// `out = othermaxcol(g)`, parallel over right vertices. `col_pos` is
-/// the precomputed [`column_positions`] array; `stats` is caller-owned
-/// scratch of length `l.num_right()` (overwritten).
-pub fn othermaxcol_into(
+/// Pass 2 of a BP iteration: the [`Max2`] statistic of `y` over every
+/// left vertex's edges (for `othermaxrow`) and of `z` over every right
+/// vertex's edges (for `othermaxcol`), the two sides as one `join` —
+/// the task-parallel reorganization the paper's §IX suggests — each
+/// parallel over its vertices. `row_stats` and `col_stats` are
+/// caller-owned scratch of length `l.num_left()` and `l.num_right()`
+/// (overwritten), which keeps the pass allocation-free.
+pub fn vertex_stats_into(
     l: &BipartiteGraph,
-    g: &[f64],
-    col_pos: &[u32],
-    out: &mut [f64],
-    stats: &mut [(f64, f64, usize)],
+    y: &[f64],
+    z: &[f64],
+    row_stats: &mut [Max2],
+    col_stats: &mut [Max2],
     chunk: usize,
 ) {
-    assert_eq!(g.len(), l.num_edges());
-    assert_eq!(out.len(), l.num_edges());
-    assert_eq!(col_pos.len(), l.num_edges());
-    assert_eq!(stats.len(), l.num_right());
-    stats
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(chunk)
-        .for_each(|(b, s)| {
-            *s = max2(l.right_edges(b as VertexId).map(|(_, e)| g[e]));
-        });
-    out.par_iter_mut()
-        .enumerate()
-        .with_min_len(chunk)
-        .for_each(|(eid, o)| {
-            let b = l.endpoints(eid).1;
-            let (m1, m2, arg) = stats[b as usize];
-            let v = if col_pos[eid] as usize == arg { m2 } else { m1 };
-            *o = v.max(0.0);
-        });
+    assert_eq!(y.len(), l.num_edges());
+    assert_eq!(z.len(), l.num_edges());
+    assert_eq!(row_stats.len(), l.num_left());
+    assert_eq!(col_stats.len(), l.num_right());
+    rayon::join(
+        || {
+            row_stats
+                .par_iter_mut()
+                .enumerate()
+                .with_min_len(chunk)
+                .for_each(|(a, s)| *s = max2(y[l.left_range(a as VertexId)].iter().copied()))
+        },
+        || {
+            col_stats
+                .par_iter_mut()
+                .enumerate()
+                .with_min_len(chunk)
+                .for_each(|(b, s)| *s = max2(l.right_edges(b as VertexId).map(|(_, e)| z[e])))
+        },
+    );
 }
 
 #[cfg(test)]
@@ -136,12 +120,22 @@ mod tests {
         )
     }
 
-    fn row_stats(l: &BipartiteGraph) -> Vec<(f64, f64, usize)> {
-        vec![(0.0, 0.0, 0); l.num_left()]
-    }
-
-    fn col_stats(l: &BipartiteGraph) -> Vec<(f64, f64, usize)> {
-        vec![(0.0, 0.0, 0); l.num_right()]
+    /// `othermaxrow(g)` and `othermaxcol(g)` through the statistics
+    /// pass and the per-edge lookup, as pass 3 reads them.
+    fn othermax_row_col(l: &BipartiteGraph, g: &[f64], chunk: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut rows = vec![(0.0, 0.0, 0); l.num_left()];
+        let mut cols = vec![(0.0, 0.0, 0); l.num_right()];
+        vertex_stats_into(l, g, g, &mut rows, &mut cols, chunk);
+        let pos = column_positions(l);
+        (0..l.num_edges())
+            .map(|e| {
+                let (a, b) = l.endpoints(e);
+                (
+                    othermax(rows[a as usize], e - l.left_range(a).start),
+                    othermax(cols[b as usize], pos[e] as usize),
+                )
+            })
+            .unzip()
     }
 
     #[test]
@@ -149,33 +143,27 @@ mod tests {
         let l = l();
         // edges in global order: (0,0)=e0,(0,1)=e1,(1,0)=e2,(1,1)=e3,(2,1)=e4
         let g = vec![3.0, 1.0, 2.0, 5.0, 4.0];
-        let mut out = vec![0.0; 5];
-        othermaxrow_into(&l, &g, &mut out, &mut row_stats(&l), 1);
         // row a0: values [3,1]: e0 is max -> second=1; e1 -> 3
         // row a1: [2,5]: e2 -> 5; e3 -> 2
         // row a2: [4]: single edge -> second = -inf -> clamp 0
-        assert_eq!(out, vec![1.0, 3.0, 5.0, 2.0, 0.0]);
+        assert_eq!(othermax_row_col(&l, &g, 1).0, vec![1.0, 3.0, 5.0, 2.0, 0.0]);
     }
 
     #[test]
     fn col_othermax_basic() {
         let l = l();
         let g = vec![3.0, 1.0, 2.0, 5.0, 4.0];
-        let pos = column_positions(&l);
-        let mut out = vec![0.0; 5];
-        othermaxcol_into(&l, &g, &pos, &mut out, &mut col_stats(&l), 1);
         // col b0: edges e0=3, e2=2: e0 -> 2; e2 -> 3
         // col b1: edges e1=1, e3=5, e4=4: e1 -> 5; e3 -> 4; e4 -> 5
-        assert_eq!(out, vec![2.0, 5.0, 3.0, 4.0, 5.0]);
+        assert_eq!(othermax_row_col(&l, &g, 1).1, vec![2.0, 5.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn negative_values_clamp_to_zero() {
         let l = l();
         let g = vec![-1.0, -2.0, -3.0, -4.0, -5.0];
-        let mut out = vec![9.0; 5];
-        othermaxrow_into(&l, &g, &mut out, &mut row_stats(&l), 1);
-        assert!(out.iter().all(|&v| v == 0.0));
+        let (row, col) = othermax_row_col(&l, &g, 1);
+        assert!(row.iter().chain(&col).all(|&v| v == 0.0));
     }
 
     #[test]
@@ -184,23 +172,13 @@ mod tests {
         // other equal value as its "other max".
         let l = BipartiteGraph::from_entries(1, 2, vec![(0, 0, 0.0), (0, 1, 0.0)]);
         let g = vec![7.0, 7.0];
-        let mut out = vec![0.0; 2];
-        othermaxrow_into(&l, &g, &mut out, &mut row_stats(&l), 1);
-        assert_eq!(out, vec![7.0, 7.0]);
+        assert_eq!(othermax_row_col(&l, &g, 1).0, vec![7.0, 7.0]);
     }
 
     #[test]
     fn chunked_matches_unchunked() {
         let l = l();
         let g = vec![0.5, 2.5, -1.0, 3.5, 0.25];
-        let mut o1 = vec![0.0; 5];
-        let mut o2 = vec![0.0; 5];
-        othermaxrow_into(&l, &g, &mut o1, &mut row_stats(&l), 1);
-        othermaxrow_into(&l, &g, &mut o2, &mut row_stats(&l), 1000);
-        assert_eq!(o1, o2);
-        let pos = column_positions(&l);
-        othermaxcol_into(&l, &g, &pos, &mut o1, &mut col_stats(&l), 1);
-        othermaxcol_into(&l, &g, &pos, &mut o2, &mut col_stats(&l), 1000);
-        assert_eq!(o1, o2);
+        assert_eq!(othermax_row_col(&l, &g, 1), othermax_row_col(&l, &g, 1000));
     }
 }

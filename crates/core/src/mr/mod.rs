@@ -30,7 +30,7 @@
 
 pub mod rowmatch;
 
-use crate::bp::{all_finite, finalize, install_fault_hook, CHUNK};
+use crate::bp::{finalize, install_fault_hook, CHUNK};
 use crate::checkpoint::MrState;
 use crate::config::AlignConfig;
 use crate::objective::evaluate_matching_with_scratch;
@@ -43,6 +43,16 @@ use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
 use rowmatch::{solve_row_matchings_into, RowWorkspace};
 use std::time::Instant;
+
+/// True iff every element of `v` is finite — the guard-rail read pass,
+/// parallel over the same chunk decomposition as the kernels.
+fn all_finite(v: &[f64]) -> bool {
+    v.par_iter()
+        .with_min_len(CHUNK)
+        .map(|&x| if x.is_finite() { 0u64 } else { 1 })
+        .sum::<u64>()
+        == 0
+}
 
 /// Run Klau's matching relaxation on `problem` with `config`.
 pub fn matching_relaxation(problem: &NetAlignProblem, config: &AlignConfig) -> AlignmentResult {

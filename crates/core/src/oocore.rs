@@ -14,20 +14,30 @@
 //! companion* `skt[idx] = sk[perm[idx]]` as an explicit second array.
 //! Because the transpose permutation of a structurally symmetric CSR
 //! is an involution (`perm ∘ perm = id`), both arrays can be advanced
-//! with **strictly sequential** sweeps over the pattern:
+//! with **strictly sequential** sweeps over the pattern. An iteration
+//! runs the in-core engine's three passes (see [`crate::bp`]):
 //!
-//! * `d[r] = α·w[r] + Σ_{idx ∈ row r} bound₀^β(β + skt_prev[idx])` —
-//!   the fused F/d pass reads `skt_prev` in storage order;
-//! * `sk[idx] = γ·(scale[row] − f(idx)) + (1−γ)·sk_prev[idx]` and
-//!   `skt[idx] = γ·(scale[colidx[idx]] − fᵗ(idx)) + (1−γ)·skt_prev[idx]`
-//!   with `f(idx) = bound₀^β(β + skt_prev[idx])`,
-//!   `fᵗ(idx) = bound₀^β(β + sk_prev[idx])` — the update+damping pass
-//!   reads and writes all four `nnz` streams in storage order, with
-//!   only the `m`-sized `scale` vector accessed randomly.
+//! * pass 1, the fused F/d sweep, computes
+//!   `d[r] = α·w[r] + Σ_{idx ∈ row r} bound₀^β(β + skt[idx])`, reading
+//!   the committed `skt` in storage order and storing no `F`;
+//! * pass 2, the per-vertex othermax statistics, touches only
+//!   `m`-sized state and is unchanged;
+//! * pass 3 runs the in-core per-edge update — the damped messages
+//!   and the row scale `y + z − d` — over all edges first, keeping
+//!   every scale. Then one superblock sweep writes
+//!   `sk_next[idx] = γ·(scale[row] − f(idx)) + (1−γ)·sk[idx]` and
+//!   `skt_next[idx] = γ·(scale[colidx[idx]] − fᵗ(idx)) + (1−γ)·skt[idx]`
+//!   with `f(idx) = bound₀^β(β + skt[idx])`,
+//!   `fᵗ(idx) = bound₀^β(β + sk[idx])`. It reads and writes all four
+//!   `nnz` streams in storage order, with only the `m`-sized `scale`
+//!   vector accessed randomly, and counts non-finite `sk_next` values
+//!   for the numeric guard.
 //!
-//! Every f64 operation consumes bit-identical operands in the same
-//! order as the in-core kernels, so the out-of-core run is
-//! **bit-identical** to the in-core run at every thread count — the
+//! As in core, the committed streams are read-only during a step, and
+//! the `_next` streams swap in only when the iterate is finite. Every
+//! f64 operation consumes bit-identical operands in the same order as
+//! the in-core passes, so the out-of-core run is **bit-identical** to
+//! the in-core run at every thread count and superblock size — the
 //! `oocore` integration tests pin this.
 //!
 //! The four `nnz` streams live in unlinked memory-mapped scratch
@@ -37,7 +47,7 @@
 //! (`msync` + `MADV_DONTNEED`), so peak RSS stays near the `m`-sized
 //! baseline plus one superblock window regardless of `nnz`.
 
-use crate::bp::BpEngine;
+use crate::bp::{damped, BpEngine};
 use crate::config::AlignConfig;
 use crate::problem::NetAlignProblem;
 use crate::result::AlignmentResult;
@@ -46,6 +56,8 @@ use crate::squares::SquaresMatrix;
 use netalign_graph::mmap::ScratchF64;
 use netalign_graph::nacs::NacsError;
 use netalign_graph::{BipartiteGraph, Graph};
+use rayon::par_uneven_chunks_mut;
+use rayon::prelude::*;
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -220,18 +232,19 @@ pub(crate) struct Superblock {
 /// `nnz` streams, the `m`-sized row-scale vector, and the superblock
 /// schedule.
 pub(crate) struct OocState {
-    /// Current damped `S⁽ᵏ⁾` values (ping).
-    pub(crate) sk: ScratchF64,
-    /// Previous damped `S⁽ᵏ⁻¹⁾` values (pong).
-    pub(crate) sk_prev: ScratchF64,
+    /// Committed damped `S⁽ᵏ⁾` values.
+    sk: ScratchF64,
     /// Transpose companion of `sk`: `skt[idx] = sk[perm[idx]]`.
-    pub(crate) skt: ScratchF64,
-    /// Transpose companion of `sk_prev`.
-    pub(crate) skt_prev: ScratchF64,
-    /// Per-row `y[e] + z[e] − d[e]`, recomputed each iteration.
+    skt: ScratchF64,
+    /// The step's output `S⁽ᵏ⁺¹⁾`, swapped in by [`OocState::advance`].
+    sk_next: ScratchF64,
+    /// Transpose companion of `sk_next`.
+    skt_next: ScratchF64,
+    /// Per-row `y[e] + z[e] − d[e]` of the undamped messages, written
+    /// by pass 3's per-edge update each iteration.
     pub(crate) scale: Vec<f64>,
     /// Sweep schedule: superblocks aligned to span-group boundaries.
-    pub(crate) superblocks: Vec<Superblock>,
+    superblocks: Vec<Superblock>,
 }
 
 impl OocState {
@@ -249,9 +262,9 @@ impl OocState {
         std::fs::create_dir_all(dir)?;
         Ok(OocState {
             sk: ScratchF64::zeroed_in(dir, "bp-sk-a", nnz)?,
-            sk_prev: ScratchF64::zeroed_in(dir, "bp-sk-b", nnz)?,
             skt: ScratchF64::zeroed_in(dir, "bp-skt-a", nnz)?,
-            skt_prev: ScratchF64::zeroed_in(dir, "bp-skt-b", nnz)?,
+            sk_next: ScratchF64::zeroed_in(dir, "bp-sk-b", nnz)?,
+            skt_next: ScratchF64::zeroed_in(dir, "bp-skt-b", nnz)?,
             scale: vec![0.0; m],
             superblocks: superblocks_from_spans(
                 spans,
@@ -260,10 +273,84 @@ impl OocState {
         })
     }
 
-    /// Swap the ping/pong roles after a finite iteration.
+    /// Pass 1 out of core: `d[r] = α·w[r] + Σ bound₀^β(β + skt[idx])`,
+    /// one superblock at a time, the transpose read through the
+    /// committed companion stream in storage order — no permutation
+    /// gather, no stored `F`. Accumulation order matches the in-core
+    /// pass exactly.
+    pub(crate) fn fused_d(&self, p: &NetAlignProblem, alpha: f64, beta: f64, d: &mut [f64]) {
+        let (rowptr, w) = (p.s.rowptr(), p.l.weights());
+        for sb in &self.superblocks {
+            self.skt.advise_sequential(sb.entries.clone());
+            let (skt, rb) = (self.skt.as_slice(), &sb.rel_row_bounds);
+            par_uneven_chunks_mut(&mut d[sb.rows.clone()], rb)
+                .enumerate()
+                .for_each(|(g, d_chunk)| {
+                    let rows = (sb.rows.start + rb[g])..(sb.rows.start + rb[g + 1]);
+                    for (de, e) in d_chunk.iter_mut().zip(rows) {
+                        let mut acc = 0.0;
+                        for idx in rowptr[e]..rowptr[e + 1] {
+                            acc += (beta + skt[idx]).clamp(0.0, beta);
+                        }
+                        *de = alpha * w[e] + acc;
+                    }
+                });
+            self.skt.release(sb.entries.clone());
+        }
+    }
+
+    /// Pass 3's `S` sweep out of core, after the per-edge update filled
+    /// `scale`: both `sk_next` and its transpose companion are produced
+    /// in storage order, one superblock at a time —
+    /// `sk_next[idx] = γ·(scale[row] − f) + (1−γ)·sk[idx]` and
+    /// `skt_next[idx] = γ·(scale[colidx[idx]] − fᵗ) + (1−γ)·skt[idx]`
+    /// with `f`/`fᵗ` the bound of the respective *other* stream (the
+    /// involution `perm ∘ perm = id` makes both expressions exact
+    /// transposes of each other). Only `scale` (m-sized, resident) is
+    /// accessed randomly. Returns the count of non-finite `sk_next`
+    /// values for the numeric guard.
+    pub(crate) fn update_s(&mut self, p: &NetAlignProblem, beta: f64, gk: f64) -> u64 {
+        let (rowptr, colidx) = (p.s.rowptr(), p.s.colidx());
+        let mut nonfinite = 0;
+        for sb in &self.superblocks {
+            self.sk.advise_sequential(sb.entries.clone());
+            self.skt.advise_sequential(sb.entries.clone());
+            let (sk, skt, scale) = (self.sk.as_slice(), self.skt.as_slice(), &self.scale);
+            let sk_next = &mut self.sk_next.as_mut_slice()[sb.entries.clone()];
+            let skt_next = &mut self.skt_next.as_mut_slice()[sb.entries.clone()];
+            let (rb, eb) = (&sb.rel_row_bounds, &sb.rel_entry_bounds);
+            nonfinite += par_uneven_chunks_mut(sk_next, eb)
+                .zip(par_uneven_chunks_mut(skt_next, eb))
+                .enumerate()
+                .map(|(g, (sk_chunk, skt_chunk))| {
+                    let base = sb.entries.start + eb[g];
+                    let mut bad = 0u64;
+                    for e in (sb.rows.start + rb[g])..(sb.rows.start + rb[g + 1]) {
+                        for idx in rowptr[e]..rowptr[e + 1] {
+                            let f = (beta + skt[idx]).clamp(0.0, beta);
+                            let v = damped(gk, scale[e] - f, sk[idx]);
+                            sk_chunk[idx - base] = v;
+                            bad += u64::from(!v.is_finite());
+                            let ft = (beta + sk[idx]).clamp(0.0, beta);
+                            skt_chunk[idx - base] =
+                                damped(gk, scale[colidx[idx] as usize] - ft, skt[idx]);
+                        }
+                    }
+                    bad
+                })
+                .sum::<u64>();
+            self.sk_next.release(sb.entries.clone());
+            self.skt_next.release(sb.entries.clone());
+            self.sk.release(sb.entries.clone());
+            self.skt.release(sb.entries.clone());
+        }
+        nonfinite
+    }
+
+    /// Commit the step's output streams after a finite iteration.
     pub(crate) fn advance(&mut self) {
-        std::mem::swap(&mut self.sk, &mut self.sk_prev);
-        std::mem::swap(&mut self.skt, &mut self.skt_prev);
+        std::mem::swap(&mut self.sk, &mut self.sk_next);
+        std::mem::swap(&mut self.skt, &mut self.skt_next);
     }
 }
 

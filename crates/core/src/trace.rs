@@ -41,16 +41,22 @@ pub enum Step {
     ComputeF,
     /// Step 2: `d = αw + Fe`.
     ComputeD,
-    /// Step 3: the two othermax sweeps.
+    /// Step 3's othermax statistics (BP's second pass).
     OtherMax,
-    /// Step 4: `S⁽ᵏ⁾ = diag(y+z−d) S − F`.
+    /// Step 4: `S⁽ᵏ⁾ = diag(y+z−d) S − F` — in BP the third pass, which
+    /// also forms `y` and `z` (step 3), damps all three (step 5) and
+    /// counts non-finite values for the guard.
     UpdateS,
-    /// Step 5: the `γᵏ` damping interpolation.
+    /// Step 5: the `γᵏ` damping interpolation. BP damps inside
+    /// [`Step::UpdateS`], so this step reads 0; it stays for the
+    /// paper's Figure 7 axis.
     Damping,
     // -- shared --
-    /// Numerical guard rails: end-of-iteration finite check, the
-    /// safe-iterate copy, and any rollback (both aligners, when
-    /// [`crate::config::AlignConfig::numeric_guards`] is on).
+    /// Numerical guard rails (when
+    /// [`crate::config::AlignConfig::numeric_guards`] is on): MR's
+    /// end-of-iteration finite check, safe-iterate copy and rollback.
+    /// BP counts non-finite values inside [`Step::UpdateS`] and rolls
+    /// back by not committing the iterate, so it records nothing here.
     Guard,
 }
 

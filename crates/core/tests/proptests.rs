@@ -1,6 +1,6 @@
 //! Property-based tests of the core alignment machinery.
 
-use netalign_core::bp::othermax::{column_positions, othermaxcol_into, othermaxrow_into};
+use netalign_core::bp::othermax::{column_positions, othermax, vertex_stats_into};
 use netalign_core::objective::{evaluate_indicator, evaluate_matching};
 use netalign_core::problem::NetAlignProblem;
 use netalign_core::squares::SquaresMatrix;
@@ -90,10 +90,11 @@ proptest! {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let m = p.l.num_edges();
         let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
-        let mut out = vec![0.0; m];
-        let mut stats = vec![(0.0, 0.0, 0usize); p.l.num_left()];
-        othermaxrow_into(&p.l, &g, &mut out, &mut stats, 1000);
+        let mut rows = vec![(0.0, 0.0, 0usize); p.l.num_left()];
+        let mut cols = vec![(0.0, 0.0, 0usize); p.l.num_right()];
+        vertex_stats_into(&p.l, &g, &g, &mut rows, &mut cols, 1000);
         for (a, _, e) in p.l.edge_iter() {
+            let got = othermax(rows[a as usize], e - p.l.left_range(a).start);
             // brute-force: max over siblings in the same row
             let best = p
                 .l
@@ -102,8 +103,8 @@ proptest! {
                 .map(|(_, f)| g[f])
                 .fold(f64::NEG_INFINITY, f64::max);
             let expect = best.max(0.0);
-            prop_assert!((out[e] - expect).abs() < 1e-12,
-                "edge {}: got {} want {}", e, out[e], expect);
+            prop_assert!((got - expect).abs() < 1e-12,
+                "edge {}: got {} want {}", e, got, expect);
         }
     }
 
@@ -114,10 +115,11 @@ proptest! {
         let m = p.l.num_edges();
         let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
         let pos = column_positions(&p.l);
-        let mut out = vec![0.0; m];
-        let mut stats = vec![(0.0, 0.0, 0usize); p.l.num_right()];
-        othermaxcol_into(&p.l, &g, &pos, &mut out, &mut stats, 1000);
+        let mut rows = vec![(0.0, 0.0, 0usize); p.l.num_left()];
+        let mut cols = vec![(0.0, 0.0, 0usize); p.l.num_right()];
+        vertex_stats_into(&p.l, &g, &g, &mut rows, &mut cols, 1000);
         for (_, b, e) in p.l.edge_iter() {
+            let got = othermax(cols[b as usize], pos[e] as usize);
             let best = p
                 .l
                 .right_edges(b)
@@ -125,7 +127,7 @@ proptest! {
                 .map(|(_, f)| g[f])
                 .fold(f64::NEG_INFINITY, f64::max);
             let expect = best.max(0.0);
-            prop_assert!((out[e] - expect).abs() < 1e-12);
+            prop_assert!((got - expect).abs() < 1e-12);
         }
     }
 

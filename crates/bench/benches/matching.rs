@@ -5,8 +5,17 @@
 //! dominant per-iteration cost, and the locally-dominant approximation
 //! is the `O(|E_L|)` replacement for the `O(|E_L|·N log N)` exact
 //! matcher.
+//!
+//! The `rounding-iterates` group rounds what BP's rounding step
+//! actually sees: the staged y and z vectors of a 50-iteration BP run
+//! on the lcsh-wiki stand-in at scale 0.00065, seed 1 (the
+//! `bp-ontology` instance), most of whose entries are not positive.
+//! It sweeps `NETALIGN_BENCH_POOLS` (default 1,4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use netalign_bench::bench_pools;
+use netalign_core::bp::BpEngine;
+use netalign_core::config::AlignConfig;
 use netalign_data::standins::StandIn;
 use netalign_data::synthetic::{power_law_alignment, PowerLawParams};
 use netalign_matching::{max_weight_matching, MatcherCounters, MatcherEngine, MatcherKind};
@@ -111,10 +120,72 @@ fn bench_matching_scaling_with_size(c: &mut Criterion) {
     group.finish();
 }
 
+/// The staged y and z vectors of a 50-iteration BP run on the
+/// `bp-ontology` instance, in staging order, unrounded.
+fn staged_bp_iterates(p: &netalign_core::problem::NetAlignProblem) -> Vec<Vec<f64>> {
+    let cfg = AlignConfig {
+        iterations: 50,
+        ..AlignConfig::default()
+    };
+    let mut engine = BpEngine::new(p, &cfg);
+    let mut staged = Vec::with_capacity(2 * cfg.iterations);
+    for _ in 0..cfg.iterations {
+        engine.step();
+        let state = engine.checkpoint_state();
+        staged.push(state.y);
+        staged.push(state.z);
+        engine.discard_pending();
+        engine.end_iteration();
+    }
+    staged
+}
+
+fn bench_rounding_iterates(c: &mut Criterion) {
+    let inst = StandIn::LcshWiki.generate(0.00065, 1);
+    let l = &inst.problem.l;
+    let staged = staged_bp_iterates(&inst.problem);
+    for (side, first) in [("y", 0), ("z", 1)] {
+        let mut positive: Vec<usize> = staged[first..]
+            .iter()
+            .step_by(2)
+            .map(|g| g.iter().filter(|&&x| x > 0.0).count())
+            .collect();
+        positive.sort_unstable();
+        eprintln!(
+            "rounding-iterates: median {} of {} {side} entries positive",
+            positive[positive.len() / 2],
+            l.num_edges()
+        );
+    }
+    let mut group = c.benchmark_group("rounding-iterates");
+    group.sample_size(10);
+    for threads in bench_pools() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        for kind in [MatcherKind::Greedy, MatcherKind::ParallelLocalDominant] {
+            group.bench_function(BenchmarkId::new(kind.name(), threads), |b| {
+                let mut eng = MatcherEngine::new(l, kind);
+                let counters = MatcherCounters::disabled();
+                pool.install(|| {
+                    b.iter(|| {
+                        for g in &staged {
+                            black_box(eng.run(l, g, counters));
+                        }
+                    })
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matchers,
     bench_engine_vs_one_shot,
-    bench_matching_scaling_with_size
+    bench_matching_scaling_with_size,
+    bench_rounding_iterates
 );
 criterion_main!(benches);

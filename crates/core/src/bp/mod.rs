@@ -70,7 +70,7 @@ use crate::trace::{faults, MatcherCounters, RunTrace, Step};
 use netalign_graph::mmap::Advice;
 use netalign_graph::nacs::Section;
 use netalign_graph::BipartiteGraph;
-use netalign_matching::{max_weight_matching_traced, MatcherEngine, MatcherKind, Matching};
+use netalign_matching::{MatcherEngine, MatcherKind, Matching};
 use othermax::{column_positions, othermax, vertex_stats_into, Max2};
 use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
@@ -649,7 +649,10 @@ impl<'a> BpEngine<'a> {
                 Some((f64::NEG_INFINITY, best_g, self.k))
             }
         };
-        finalize(self.p, self.config, best, history, trace, &self.counters)
+        let (l, counters, engine) = (&self.p.l, &self.counters, &mut self.lanes[0].engine);
+        finalize(self.p, self.config, best, history, trace, counters, |g| {
+            engine.run(l, g, counters).clone()
+        })
     }
 
     /// Flush any remaining staged iterates and assemble the result.
@@ -821,7 +824,8 @@ fn message_pass(
 
 /// Shared tail of both aligners: round the best heuristic — with the
 /// exact matcher when the final exact round keeps it, otherwise with
-/// the configured matcher — then assemble the result.
+/// `rematch`, the caller's own rounding engine — then assemble the
+/// result.
 pub(crate) fn finalize(
     p: &NetAlignProblem,
     config: &AlignConfig,
@@ -829,6 +833,7 @@ pub(crate) fn finalize(
     history: Vec<IterationRecord>,
     mut trace: RunTrace,
     matcher_counters: &MatcherCounters,
+    rematch: impl FnOnce(&[f64]) -> Matching,
 ) -> AlignmentResult {
     // Invariant, not a user-reachable panic: both engines' `finish`
     // methods substitute a fallback incumbent when no rounding ever
@@ -836,9 +841,7 @@ pub(crate) fn finalize(
     let (best_obj, best_g, best_iter) = best.expect("finish() always supplies an incumbent");
     let t0 = Instant::now();
     let RoundedSolution { matching, value } =
-        exact_final_round(p, config, &best_g, best_obj, || {
-            max_weight_matching_traced(&p.l, &best_g, config.matcher, matcher_counters)
-        });
+        exact_final_round(p, config, &best_g, best_obj, || rematch(&best_g));
     trace.add(Step::Match, t0.elapsed());
     trace.matcher = matcher_counters.snapshot();
     trace.stamp_peak_rss();

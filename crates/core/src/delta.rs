@@ -756,6 +756,7 @@ fn replay_patched(
         history,
         RunTrace::new(),
         &counters,
+        |g| greedy.run(&p2.l, g).clone(),
     );
     *trajectory = traj;
     ReplayOutput {

@@ -726,6 +726,7 @@ impl BudgetDriver {
     /// decide what happens next.
     fn after_iteration(&mut self, k: u64, iter_secs: f64) -> Verdict {
         self.token.tick();
+        faults::hold_point(k, &self.token);
         if self.injected.is_some_and(|d| k >= d) {
             self.rung = 3;
             return Verdict::Deadline;

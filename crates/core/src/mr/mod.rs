@@ -424,7 +424,10 @@ impl<'a> MrEngine<'a> {
                 Some((f64::NEG_INFINITY, best_g, self.k))
             }
         };
-        let mut result = finalize(self.p, self.config, best, history, trace, &self.counters);
+        let (l, counters, engine) = (&self.p.l, &self.counters, &mut self.rounding);
+        let mut result = finalize(self.p, self.config, best, history, trace, counters, |g| {
+            engine.run(l, g, counters).clone()
+        });
         result.upper_bound = Some(self.best_upper.max(result.objective));
         result
     }

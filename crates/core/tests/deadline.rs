@@ -209,26 +209,30 @@ fn mid_run_cancellation_keeps_completed_iterations() {
         record_history: true,
         ..Default::default()
     };
-    // Cancel from a helper thread once the run has made some progress
-    // (heartbeat-gated, so the cancel lands mid-run, not before it).
+    // The hold point stops the run at the end of iteration 3 until its
+    // token is cancelled; the helper thread cancels once the run is
+    // held, so the cancel lands at that boundary at every pool size.
+    faults::install(faults::plan_from_env_pairs(&[("NETALIGN_FAULT_HOLD", "3")]));
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
         std::thread::spawn(move || {
-            while token.heartbeat() < 3 && !token.is_cancelled() {
+            while faults::holds_reached() == 0 && !token.is_cancelled() {
                 std::thread::yield_now();
             }
             token.cancel(CancelReason::Manual);
         })
     };
-    let outcome = pool(4)
-        .install(|| {
-            RunHarness::new()
-                .with_cancel_token(token.clone())
-                .run_bp(&p, &cfg)
-        })
-        .expect("cancelled run still returns an outcome");
+    let outcome = pool(4).install(|| {
+        RunHarness::new()
+            .with_cancel_token(token.clone())
+            .run_bp(&p, &cfg)
+    });
+    // Releases the helper should the run have ended without holding.
+    token.cancel(CancelReason::Manual);
     canceller.join().expect("canceller thread");
+    faults::clear();
+    let outcome = outcome.expect("cancelled run still returns an outcome");
     assert_eq!(outcome.completion, Completion::Cancelled);
     assert_eq!(outcome.cancel_reason, Some(CancelReason::Manual));
     assert!(
@@ -236,6 +240,7 @@ fn mid_run_cancellation_keeps_completed_iterations() {
         "the cancel must stop the run early, ran {}",
         outcome.iterations_run
     );
+    assert_eq!(outcome.iterations_run, 3, "the cancel lands at the hold");
     assert!(outcome.result.objective.is_finite());
     assert!(outcome.result.matching.is_valid(&p.l));
 }

@@ -4,10 +4,15 @@
 //! edge whose endpoints are both still free. The result is exactly the
 //! (unique) locally-dominant matching, so this doubles as the reference
 //! implementation for the pointer-based algorithms.
+//!
+//! The sort runs on packed `u128` keys: `w.to_bits()`, then the unified
+//! right id `na + b`, then `a`. Positive `f64`s (subnormals and `+∞`
+//! included) order like their bit patterns and `na + b > a`, so the
+//! keys sort exactly in [`crate::order::edge_key`]'s order; the
+//! `w > 0.0` filter drops `±0`, negatives and NaN first.
 
 use crate::matching::{Matching, UNMATCHED};
-use crate::order::edge_key;
-use netalign_graph::{BipartiteGraph, EdgeId};
+use netalign_graph::{BipartiteGraph, VertexId};
 
 /// Greedy maximum-weight matching: ½-approximate in weight and
 /// cardinality.
@@ -18,23 +23,28 @@ pub fn greedy_matching(l: &BipartiteGraph, weights: &[f64]) -> Matching {
 }
 
 /// Reusable buffers for repeated [`GreedyScratch::run`] calls over one
-/// graph: the sorted-order vector and the output matching. One sort and
-/// one linear pass per call, no steady-state allocation — the cheap
-/// sequential path for callers that already know the matching is
-/// pool-invariant (greedy ≡ locally-dominant on the strict total
-/// order), such as the greedy [`crate::MatcherEngine`] and the
-/// delta-replay stage rematcher.
+/// graph: the packed sort keys (16 B per candidate edge) and the output
+/// matching. One integer sort and one linear pass per call, no
+/// steady-state allocation — the cheap sequential path for callers that
+/// already know the matching is pool-invariant (greedy ≡
+/// locally-dominant on the strict total order), such as the greedy
+/// [`crate::MatcherEngine`] and the delta-replay stage rematcher.
 pub struct GreedyScratch {
-    order: Vec<EdgeId>,
+    keys: Vec<u128>,
     /// The matching produced by the last [`Self::run`].
     pub out: Matching,
 }
 
 impl GreedyScratch {
-    /// Preallocate for `l`.
+    /// Preallocate for `l`. Panics if its unified vertex ids overflow
+    /// `u32`.
     pub fn new(l: &BipartiteGraph) -> Self {
+        assert!(
+            l.num_left() + l.num_right() <= u32::MAX as usize,
+            "greedy keys pack unified vertex ids into 32 bits"
+        );
         Self {
-            order: Vec::with_capacity(l.num_edges()),
+            keys: Vec::with_capacity(l.num_edges()),
             out: Matching::empty(l.num_left(), l.num_right()),
         }
     }
@@ -43,22 +53,21 @@ impl GreedyScratch {
     /// return it.
     pub fn run(&mut self, l: &BipartiteGraph, weights: &[f64]) -> &Matching {
         assert_eq!(weights.len(), l.num_edges());
-        let na = l.num_left();
-        self.order.clear();
-        self.order
-            .extend((0..l.num_edges()).filter(|&e| weights[e] > 0.0));
-        self.order.sort_unstable_by(|&e1, &e2| {
-            let (a1, b1) = l.endpoints(e1);
-            let (a2, b2) = l.endpoints(e2);
-            let k1 = edge_key(weights[e1], a1, b1, na);
-            let k2 = edge_key(weights[e2], a2, b2, na);
-            // Descending.
-            k2.0.total_cmp(&k1.0)
-                .then_with(|| (k2.1, k2.2).cmp(&(k1.1, k1.2)))
-        });
+        let na = l.num_left() as VertexId;
+        self.keys.clear();
+        self.keys.extend(
+            l.edge_iter()
+                .filter(|&(_, _, e)| weights[e] > 0.0)
+                .map(|(a, b, e)| {
+                    (u128::from(weights[e].to_bits()) << 64)
+                        | (u128::from(na + b) << 32)
+                        | u128::from(a)
+                }),
+        );
+        self.keys.sort_unstable();
         self.out.clear();
-        for &e in &self.order {
-            let (a, b) = l.endpoints(e);
+        for &key in self.keys.iter().rev() {
+            let (a, b) = (key as VertexId, (key >> 32) as VertexId - na);
             if self.out.left_mates()[a as usize] == UNMATCHED
                 && self.out.right_mates()[b as usize] == UNMATCHED
             {

@@ -407,15 +407,16 @@ fn parse_candidate_delta(value: Option<&Json>) -> Result<CandidateDelta, Request
     Ok(d)
 }
 
-/// Server-side config defaults: every iterate rounded by the paper's
-/// parallel locally-dominant matcher, then one exact matching of the
-/// best iterate kept when it scores at least as well
+/// Server-side config defaults: every iterate rounded by the greedy
+/// matcher — the same unique matching as the paper's parallel
+/// locally-dominant one, by one sort of packed keys — then one exact
+/// matching of the best iterate kept when it scores at least as well
 /// (`final_exact_round`, which a request may turn off). Matcher tracing
 /// on (cheap), history off.
 pub fn default_config() -> AlignConfig {
     AlignConfig {
         iterations: 50,
-        matcher: MatcherKind::ParallelLocalDominant,
+        matcher: MatcherKind::Greedy,
         final_exact_round: true,
         trace_matcher: true,
         record_history: false,
@@ -777,11 +778,7 @@ mod tests {
         };
         assert_eq!(req.method, Method::Bp);
         assert_eq!(req.config.iterations, 4);
-        assert_eq!(
-            req.config.matcher,
-            MatcherKind::ParallelLocalDominant,
-            "server default"
-        );
+        assert_eq!(req.config.matcher, MatcherKind::Greedy, "server default");
         assert!(req.config.final_exact_round, "server default");
         assert_eq!(req.l.num_edges(), 3);
         assert_ne!(req.fingerprint, 0);

@@ -8,9 +8,11 @@ use common::{align_doc, fetch_metrics, metric_u64, reply_f64, reply_matching, Da
 use netalign_core::config::AlignConfig;
 use netalign_core::harness::RunHarness;
 use netalign_core::problem::NetAlignProblem;
+use netalign_graph::BipartiteGraph;
 use netalign_matching::MatcherKind;
 use netalign_serve::client::response_code;
-use netalign_serve::protocol::{parse_request, AlignRequest, Request};
+use netalign_serve::fingerprint::Method;
+use netalign_serve::protocol::{default_config, parse_request, AlignRequest, Request};
 use netalign_trace::Json;
 use std::time::{Duration, Instant};
 
@@ -24,12 +26,28 @@ fn parse_align_doc(doc: &Json) -> AlignRequest {
 }
 
 /// Solve the request's graphs directly with the run harness under
-/// `config`: objective, sorted matching pairs and iterations run.
+/// `config`, by the request's method: objective, sorted matching pairs
+/// and iterations run.
 fn direct_solve(req: &AlignRequest, config: &AlignConfig) -> (f64, Vec<(u64, u64)>, u64) {
-    let problem = NetAlignProblem::new(req.a.clone(), req.b.clone(), req.l.clone());
-    let outcome = RunHarness::new()
-        .run_bp(&problem, config)
-        .expect("direct solve");
+    solve_problem(
+        &NetAlignProblem::new(req.a.clone(), req.b.clone(), req.l.clone()),
+        req.method,
+        config,
+    )
+}
+
+/// [`direct_solve`] over an already built problem.
+fn solve_problem(
+    problem: &NetAlignProblem,
+    method: Method,
+    config: &AlignConfig,
+) -> (f64, Vec<(u64, u64)>, u64) {
+    let harness = RunHarness::new();
+    let outcome = match method {
+        Method::Bp => harness.run_bp(problem, config),
+        Method::Mr => harness.run_mr(problem, config),
+    }
+    .expect("direct solve");
     let mut pairs: Vec<(u64, u64)> = outcome
         .result
         .matching
@@ -77,7 +95,7 @@ fn served_alignment_is_bit_identical_to_direct_harness() {
     );
 }
 
-/// The server rounds every iterate with the parallel LD matcher and by
+/// The server rounds every iterate with the greedy matcher and by
 /// default re-rounds the best iterate exactly, keeping that matching
 /// only when it scores at least as well. A request can turn the final
 /// exact round off. On this instance the exact matching wins, so the
@@ -107,10 +125,10 @@ fn final_exact_round_request_flag_is_honoured() {
     for (doc, final_exact_round) in [(&default_doc, true), (&without, false)] {
         let req = parse_align_doc(doc);
         assert_eq!(req.config.final_exact_round, final_exact_round);
-        assert_eq!(req.config.matcher, MatcherKind::ParallelLocalDominant);
+        assert_eq!(req.config.matcher, MatcherKind::Greedy);
         let built = AlignConfig {
             iterations,
-            matcher: MatcherKind::ParallelLocalDominant,
+            matcher: MatcherKind::Greedy,
             final_exact_round,
             ..AlignConfig::default()
         };
@@ -137,6 +155,104 @@ fn final_exact_round_request_flag_is_honoured() {
         replies[1].0
     );
     assert_ne!(replies[0].1, replies[1].1);
+}
+
+/// Assert that a 200 reply carries exactly `expected`'s objective bits,
+/// matching and iteration count.
+fn assert_reply_equals(reply: &Json, expected: &(f64, Vec<(u64, u64)>, u64), label: &str) {
+    assert_eq!(response_code(reply), 200, "{label}: {}", reply.render());
+    assert_eq!(
+        reply_f64(reply, "objective").to_bits(),
+        expected.0.to_bits(),
+        "{label}: objective"
+    );
+    assert_eq!(reply_matching(reply), expected.1, "{label}: matching");
+    assert_eq!(
+        reply.get("iterations_run").and_then(Json::as_u64),
+        Some(expected.2),
+        "{label}: iterations_run"
+    );
+}
+
+/// netalignd's default matcher used to be the parallel LD matcher and
+/// is now greedy. Both return the one unique matching under the total
+/// edge order, so the switch changes no reply: a BP request, an MR
+/// request and every step of a three-step `align_delta` chain each
+/// equal a direct solve of the same graphs under `default_config()`
+/// with the old matcher, bit for bit.
+#[test]
+fn default_matcher_switch_changes_no_reply() {
+    let daemon = Daemon::spawn(&[]);
+    let mut client = daemon.client();
+    let iterations = 10;
+    let old_default = AlignConfig {
+        iterations,
+        matcher: MatcherKind::ParallelLocalDominant,
+        ..default_config()
+    };
+
+    let mut doc = align_doc(70, 13, iterations, None);
+    let Json::Obj(fields) = &mut doc else {
+        panic!("align doc is an object")
+    };
+    fields.push(("record".to_string(), Json::Bool(true)));
+    let req = parse_align_doc(&doc);
+    let base_reply = client.request(&doc).expect("recorded bp align");
+    assert_reply_equals(&base_reply, &direct_solve(&req, &old_default), "bp");
+
+    let mut mr_doc = align_doc(70, 13, iterations, None);
+    let Json::Obj(fields) = &mut mr_doc else {
+        panic!("align doc is an object")
+    };
+    fields.retain(|(k, _)| k != "method");
+    fields.push(("method".to_string(), Json::str("mr")));
+    let mr_req = parse_align_doc(&mr_doc);
+    assert_eq!(mr_req.method, Method::Mr);
+    let mr_reply = client.request(&mr_doc).expect("mr align");
+    assert_reply_equals(&mr_reply, &direct_solve(&mr_req, &old_default), "mr");
+
+    // Three chained deltas, each reweighting one candidate edge; the
+    // reference applies the same edits to its own copy of L.
+    let mut entries: Vec<(u32, u32, f64)> = (0..req.l.num_edges())
+        .map(|e| {
+            let (a, b) = req.l.endpoints(e);
+            (a, b, req.l.weight(e))
+        })
+        .collect();
+    let mut base = base_reply
+        .get("fingerprint")
+        .and_then(Json::as_str)
+        .expect("fingerprint")
+        .to_string();
+    for (step, (e, w)) in [(0, 1.75), (5, 0.25), (9, 1.5)].into_iter().enumerate() {
+        entries[e].2 = w;
+        let (a, b, _) = entries[e];
+        let delta_doc = Json::obj(vec![
+            ("op", Json::str("align_delta")),
+            ("base", Json::str(base.clone())),
+            (
+                "l",
+                Json::obj(vec![(
+                    "reweight",
+                    Json::Arr(vec![Json::Arr(vec![
+                        Json::U64(a as u64),
+                        Json::U64(b as u64),
+                        Json::F64(w),
+                    ])]),
+                )]),
+            ),
+        ]);
+        let reply = client.request(&delta_doc).expect("align_delta");
+        let l = BipartiteGraph::from_entries(req.l.num_left(), req.l.num_right(), entries.clone());
+        let patched = NetAlignProblem::new(req.a.clone(), req.b.clone(), l);
+        let expected = solve_problem(&patched, Method::Bp, &old_default);
+        assert_reply_equals(&reply, &expected, &format!("delta step {}", step + 1));
+        base = reply
+            .get("fingerprint")
+            .and_then(Json::as_str)
+            .expect("new fingerprint")
+            .to_string();
+    }
 }
 
 #[test]

@@ -23,6 +23,9 @@
 //!     iteration `iter` as an expired time budget (a deterministic
 //!     deadline: the harness stops there exactly as it would on a
 //!     wall-clock expiry, without any real clock in the loop),
+//!   - `NETALIGN_FAULT_HOLD=<iter>` — hold the run at the end of
+//!     aligner iteration `iter` until its cancel token fires, so a
+//!     cancel lands at a known iteration instead of racing the run,
 //!   - `NETALIGN_FAULT_KILL=<point>[@<n>]` — hard-abort the process
 //!     (no unwinding, no destructors — a deterministic `SIGKILL`
 //!     stand-in) the `n`-th time the named serving fault point is
@@ -45,8 +48,10 @@
 //! gated on one relaxed atomic ([`active`]), so a disarmed process pays
 //! a single predictable branch per probe.
 
+use crate::cancel::CancelToken;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
+use std::time::{Duration, Instant};
 
 /// A named step/iteration pair: "fire in step `step` at 1-based
 /// aligner iteration `iteration`".
@@ -144,6 +149,9 @@ pub struct FaultPlan {
     /// Treat the end of this 1-based aligner iteration as an expired
     /// time budget (deterministic deadline, no wall clock involved).
     pub deadline: Option<u64>,
+    /// Hold the run at the end of this 1-based aligner iteration until
+    /// its cancel token fires (bounded by [`HOLD_LIMIT`]).
+    pub hold: Option<u64>,
     /// Hard-abort the process at the Nth hit of a named fault point.
     pub kill: Option<KillSpec>,
     /// Damage every Nth outgoing transport frame.
@@ -158,6 +166,7 @@ impl FaultPlan {
             && self.chunk_panic.is_none()
             && self.checkpoint.is_none()
             && self.deadline.is_none()
+            && self.hold.is_none()
             && self.kill.is_none()
             && self.net.is_none()
     }
@@ -179,6 +188,8 @@ static CKPT_WRITES: AtomicU64 = AtomicU64::new(0);
 static KILL_HITS: AtomicU64 = AtomicU64::new(0);
 /// Transport frames sent since the plan was installed.
 static NET_SENDS: AtomicU64 = AtomicU64::new(0);
+/// Runs held at the hold point since the plan was installed.
+static HOLDS: AtomicU64 = AtomicU64::new(0);
 static ENV_LOADED: OnceLock<()> = OnceLock::new();
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -198,6 +209,7 @@ pub fn install(plan: FaultPlan) {
     CKPT_WRITES.store(0, Ordering::Relaxed);
     KILL_HITS.store(0, Ordering::Relaxed);
     NET_SENDS.store(0, Ordering::Relaxed);
+    HOLDS.store(0, Ordering::Relaxed);
     ARMED.store(armed, Ordering::Release);
 }
 
@@ -209,6 +221,7 @@ pub fn clear() {
     CKPT_WRITES.store(0, Ordering::Relaxed);
     KILL_HITS.store(0, Ordering::Relaxed);
     NET_SENDS.store(0, Ordering::Relaxed);
+    HOLDS.store(0, Ordering::Relaxed);
 }
 
 /// Parse the `NETALIGN_FAULT_*` environment variables once and install
@@ -248,6 +261,7 @@ fn plan_from_lookup(get: &dyn Fn(&str) -> Option<String>) -> FaultPlan {
         chunk_panic: get("NETALIGN_FAULT_CHUNK_PANIC").and_then(|v| v.trim().parse().ok()),
         checkpoint: get("NETALIGN_FAULT_CKPT").and_then(|v| parse_checkpoint_fault(&v)),
         deadline: get("NETALIGN_FAULT_DEADLINE").and_then(|v| v.trim().parse().ok()),
+        hold: get("NETALIGN_FAULT_HOLD").and_then(|v| v.trim().parse().ok()),
         kill: get("NETALIGN_FAULT_KILL").and_then(|v| parse_kill_spec(&v)),
         net: get("NETALIGN_FAULT_NET").and_then(|v| parse_net_fault(&v)),
     }
@@ -394,6 +408,28 @@ pub fn deadline_iteration() -> Option<u64> {
         return None;
     }
     with_plan(|p| p.deadline).flatten()
+}
+
+/// Longest a run waits at the hold point for its cancel token.
+pub const HOLD_LIMIT: Duration = Duration::from_secs(30);
+
+/// The hold point, probed by the harness at the end of every aligner
+/// iteration `k` (1-based): when the plan holds at `k`, count the hit
+/// and wait until `token` is cancelled or [`HOLD_LIMIT`] has passed.
+pub fn hold_point(k: u64, token: &CancelToken) {
+    if !active() || with_plan(|p| p.hold) != Some(Some(k)) {
+        return;
+    }
+    HOLDS.fetch_add(1, Ordering::Relaxed);
+    let start = Instant::now();
+    while !token.is_cancelled() && start.elapsed() < HOLD_LIMIT {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// How many runs reached the hold point since the plan was installed.
+pub fn holds_reached() -> u64 {
+    HOLDS.load(Ordering::Relaxed)
 }
 
 /// Should the caller hard-abort at this named fault point? Counts a

@@ -3,9 +3,11 @@
 //! clamp + row-sum sweep behind `compute-F`/`compute-d`; pass 2, the
 //! per-vertex othermax statistics; pass 3, the fused message, `S`
 //! update, damping and finite-count sweep; one full
-//! `BpEngine::step`; and full `belief_propagation` iterations with
+//! `BpEngine::step`; full `belief_propagation` iterations with
 //! deferred rounding (the end-to-end per-iteration wall-clock that
-//! BENCH_2.json tracks across runtime changes).
+//! BENCH_2.json tracks across runtime changes); and netalignd's solve
+//! of the `bp-ontology` instance, where every iteration's flush is
+//! rounded beside the next iteration's passes.
 //!
 //! Environment knobs (for CI's bench-smoke job):
 //! * `NETALIGN_BENCH_SCALE` — stand-in scale (default 0.01);
@@ -43,6 +45,8 @@ fn bench_bp_kernels(c: &mut Criterion) {
     let mut row_stats = vec![(0.0, 0.0, 0usize); p.l.num_left()];
     let mut col_stats = vec![(0.0, 0.0, 0usize); p.l.num_right()];
     vertex_stats_into(&p.l, &g, &g, &mut row_stats, &mut col_stats, 1000);
+    // perfbench's `bp-ontology` instance.
+    let ontology = StandIn::LcshWiki.generate(0.00065, 1).problem;
 
     let mut group = c.benchmark_group("bp-steps");
     group.sample_size(20);
@@ -167,6 +171,23 @@ fn bench_bp_kernels(c: &mut Criterion) {
                     ..Default::default()
                 };
                 pool.install(|| b.iter(|| black_box(belief_propagation(p, &cfg))))
+            },
+        );
+
+        // netalignd's solve: 50 iterations, each one's y and z rounded
+        // greedily beside the next iteration's passes, then the final
+        // exact round.
+        group.bench_function(
+            BenchmarkId::new("bp-50-iters (pipelined rounding)", threads),
+            |b| {
+                let cfg = AlignConfig {
+                    iterations: 50,
+                    matcher: MatcherKind::Greedy,
+                    final_exact_round: true,
+                    trace_matcher: true,
+                    ..Default::default()
+                };
+                pool.install(|| b.iter(|| black_box(belief_propagation(&ontology, &cfg))))
             },
         );
     }

@@ -13,13 +13,22 @@
 //! 5. damping: iterates interpolate toward the previous ones with
 //!    weight `γᵏ` (which decays to zero, freezing the messages);
 //! 6. rounding: match `y⁽ᵏ⁾` and `z⁽ᵏ⁾` with the configured matcher
-//!    and evaluate the objective — immediately for `batch = 1`, or
+//!    and evaluate the objective — every iteration for `batch = 1`, or
 //!    deferred into batches of `r` iterations for `BP(batch = r)`.
 //!    Either way the staged vectors are rounded concurrently, one
-//!    contiguous run per rounding lane.
+//!    contiguous run per rounding lane, and no later iterate reads the
+//!    result (paper §VII). So a due flush is handed to the next
+//!    iteration, which rounds it *beside* its own passes: iteration
+//!    `k + 1` publishes one region of tasks, the passes as task 0 and
+//!    each lane's run as a further task, claimed by whichever thread is
+//!    free ([`rayon::join_each`]). The values then merge into the
+//!    incumbent and history in staging order, as a flush rounded on the
+//!    spot would, so every result bit is the same. An iteration then
+//!    costs about the larger of its passes and the flush instead of
+//!    their sum.
 //!
-//! Steps 1–5 run as **three parallel passes**, each one published
-//! region of the pool:
+//! Steps 1–5 run as **three parallel passes** inside that region's
+//! first task, each a nested region of the pool:
 //!
 //! * **pass 1** fuses steps 1 and 2 into one row-parallel sweep over
 //!   the pattern of `S`: each row of `F` is written and summed in the
@@ -53,7 +62,15 @@
 //! and the steady-state loop ([`BpEngine::step`] /
 //! [`BpEngine::round_pending`]) is allocation-free (paper §IV: "no
 //! dynamic memory allocations") — pending rounding vectors are staged
-//! in pooled buffers that are recycled after every flush.
+//! in pooled buffers that are recycled after every flush, before the
+//! step that rounded it stages its own. Every method that reads or
+//! changes rounding state (`round_pending`, `discard_pending`,
+//! `checkpoint_state`, `set_recorder`, `finish_in_place`) first
+//! completes a flush in flight on the lanes — `discard_pending` only
+//! while the caller's cancel scope lets it — ladder rung 2
+//! (`force_cheap_rounding`) switches matchers at the next hand-over, and
+//! with a trajectory recorder attached every flush is rounded when it
+//! is due.
 
 pub mod othermax;
 
@@ -75,7 +92,8 @@ use othermax::{column_positions, othermax, vertex_stats_into, Max2};
 use rayon::par_uneven_chunks_mut;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::time::Instant;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// Work-chunk size for the dynamic-scheduling analog of the paper's
 /// OpenMP `schedule(dynamic, 1000)` (§IV.A).
@@ -146,10 +164,12 @@ pub struct BpEngine<'a> {
     col_pos: Vec<u32>,
     spans: RowSpans,
     // Rounding bookkeeping: staged vectors (and their iterations)
-    // awaiting a batched rounding, plus the pool their buffers return
-    // to afterward.
+    // awaiting a batched rounding, the flush handed to the next step
+    // (in flight), and the pool their buffers return to afterward.
     pending_iter: Vec<usize>,
     pending_bufs: Vec<Vec<f64>>,
+    flush_iter: Vec<usize>,
+    flush_bufs: Vec<Vec<f64>>,
     buf_pool: Vec<Vec<f64>>,
     // Rounding lanes, one matcher engine of `config.matcher`'s kind
     // each, at most one per pool thread: a flush splits its staged
@@ -161,6 +181,9 @@ pub struct BpEngine<'a> {
     // trading rounding frequency for time exactly like the paper's
     // `BP(batch = r)` variant. `None` = the configured batch.
     batch_override: Option<usize>,
+    // Degradation-ladder rung 2 engaged: the lanes switch to greedy at
+    // the next hand-over, after the flush in flight is rounded.
+    cheap_rounding: bool,
     best: Option<(f64, usize)>,
     best_g: Vec<f64>,
     // Trajectory recorder for incremental re-alignment: when attached,
@@ -179,11 +202,13 @@ pub struct BpEngine<'a> {
 
 /// One rounding lane of [`BpEngine`]: a matcher engine, the all-false
 /// scratch of its allocation-free objective evaluation, and the values
-/// of the vectors it rounded in the current flush, in staging order.
+/// of the vectors it rounded in the current flush, in staging order,
+/// with the time it spent on them.
 struct RoundingLane {
     engine: MatcherEngine,
     marks: Vec<bool>,
     values: Vec<ObjectiveValue>,
+    busy: Duration,
 }
 
 impl RoundingLane {
@@ -196,12 +221,49 @@ impl RoundingLane {
         g: &[f64],
         counters: &MatcherCounters,
     ) -> (&Matching, ObjectiveValue) {
+        let t0 = Instant::now();
         let m = self.engine.run(&p.l, g, counters);
         let value =
             evaluate_matching_with_scratch(p, m, config.alpha, config.beta, &mut self.marks);
         self.values.push(value);
+        self.busy += t0.elapsed();
         (m, value)
     }
+}
+
+/// Run `lead` beside the flush in flight — the `staged` vectors, if any
+/// — as one pool region of tasks: `lead` is task 0 and lane `i`'s
+/// contiguous run of the staged vectors task `i + 1`, each claimed by
+/// whichever thread is free ([`rayon::join_each`]). The lanes keep their
+/// values for [`BpEngine::merge_flush`].
+fn beside_flush<R: Send>(
+    p: &NetAlignProblem,
+    config: &AlignConfig,
+    lanes: &mut [RoundingLane],
+    staged: &[Vec<f64>],
+    counters: &MatcherCounters,
+    lead: impl FnOnce() -> R + Send,
+) -> R {
+    let n = if staged.is_empty() { 0 } else { lanes.len() };
+    let per_lane = staged.len().div_ceil(lanes.len()).max(1);
+    // The lanes split the pool: each lane's matcher runs its nested
+    // parallel regions on its share of the threads, so concurrent lanes
+    // do not recruit workers beyond the pool. (A vendored-rayon pool is
+    // only a thread-count scope, so building one allocates nothing.)
+    let share = rayon::ThreadPoolBuilder::new()
+        .num_threads((rayon::current_num_threads() / lanes.len()).max(1))
+        .build()
+        .expect("the vendored thread pool builder is infallible");
+    rayon::join_each(lead, &mut lanes[..n], |i, lane| {
+        let run = staged.chunks(per_lane).nth(i).unwrap_or_default();
+        share.install(|| {
+            // A lane skips what it rounded before an unwound region
+            // stopped it part way.
+            for g in &run[lane.values.len()..] {
+                lane.round(p, config, g, counters);
+            }
+        })
+    })
 }
 
 impl<'a> BpEngine<'a> {
@@ -262,15 +324,19 @@ impl<'a> BpEngine<'a> {
             spans: RowSpans::from_rowptr(p.s.rowptr()),
             pending_iter: Vec::with_capacity(batch_cap),
             pending_bufs: Vec::with_capacity(batch_cap),
+            flush_iter: Vec::with_capacity(batch_cap),
+            flush_bufs: Vec::with_capacity(batch_cap),
             buf_pool: Vec::with_capacity(batch_cap),
             lanes: (0..rayon::current_num_threads().min(2 * config.batch.max(1)))
                 .map(|_| RoundingLane {
                     engine: MatcherEngine::new(&p.l, config.matcher),
                     marks: vec![false; m],
                     values: Vec::with_capacity(batch_cap),
+                    busy: Duration::ZERO,
                 })
                 .collect(),
             batch_override: None,
+            cheap_rounding: false,
             best: None,
             best_g: vec![0.0; m],
             recorder: None,
@@ -292,89 +358,89 @@ impl<'a> BpEngine<'a> {
 
     /// Run one BP iteration (Listing 2 steps 1–5, as the three passes
     /// of the module docs) and stage the new `y`/`z` iterates for
-    /// rounding. Allocation-free after the first `2·batch` iterations
-    /// warmed up the staging pool. Out of core, every pass over the
-    /// pattern of `S` is a *sequential* superblock sweep over spilled
-    /// streams (see [`crate::oocore`]).
+    /// rounding. A flush that [`round_pending`](Self::round_pending)
+    /// handed over is rounded in the same pool region as the passes, on
+    /// the lanes, and merged before the new iterates are staged.
+    /// Allocation-free after the first `2·batch` iterations warmed up
+    /// the staging pool. Out of core, every pass over the pattern of `S`
+    /// is a *sequential* superblock sweep over spilled streams (see
+    /// [`crate::oocore`]).
     pub fn step(&mut self) {
         self.k += 1;
         let k = self.k;
         if faults::active() {
             faults::panic_point("bp.step", k as u64);
         }
-        let p = self.p;
-        let (alpha, beta) = (self.config.alpha, self.config.beta);
-        let gk = self.config.damping.fresh_weight(self.gamma, k);
+        let Self {
+            p,
+            config,
+            y,
+            z,
+            sk,
+            y_next,
+            z_next,
+            sk_next,
+            d,
+            fv,
+            row_stats,
+            col_stats,
+            col_pos,
+            spans,
+            ooc,
+            trace,
+            lanes,
+            flush_bufs,
+            counters,
+            ..
+        } = self;
+        let p = *p;
+        let (alpha, beta) = (config.alpha, config.beta);
+        let gk = config.damping.fresh_weight(self.gamma, k);
         let m = p.l.num_edges();
         let nnz = p.s.nnz();
 
-        // Pass 1, steps 1+2: F = bound_0^beta(beta*S + S^(k-1)^T) and
-        // d = alpha*w + F e in one row-parallel sweep. Out of core, F
-        // is recomputed in pass 3 instead of stored.
-        let t0 = Instant::now();
-        match &self.ooc {
-            None => fused_f_d(
-                &p.s,
-                &self.spans,
-                &self.sk,
-                p.l.weights(),
-                alpha,
-                beta,
-                &mut self.fv,
-                &mut self.d,
-            ),
-            Some(ooc) => ooc.fused_d(p, alpha, beta, &mut self.d),
-        }
-        self.trace.add(Step::ComputeF, t0.elapsed());
-
-        // Pass 2: the othermax statistics of the committed messages.
-        let t0 = Instant::now();
-        vertex_stats_into(
-            &p.l,
-            &self.y,
-            &self.z,
-            &mut self.row_stats,
-            &mut self.col_stats,
-            CHUNK,
-        );
-        self.trace.add(Step::OtherMax, t0.elapsed());
-
-        // Pass 3, steps 3–5 and the finite count of the guard.
-        let t0 = Instant::now();
-        let u = EdgeUpdate {
-            l: &p.l,
-            col_pos: &self.col_pos,
-            row_stats: &self.row_stats,
-            col_stats: &self.col_stats,
-            d: &self.d,
-            y: &self.y,
-            z: &self.z,
-            gk,
-        };
-        let mut nonfinite = match &mut self.ooc {
-            None => update_pass(
-                &u,
-                p.s.rowptr(),
-                &self.spans,
-                &self.fv,
-                &self.sk,
-                &mut self.sk_next,
-                &mut self.y_next,
-                &mut self.z_next,
-            ),
-            // The S sweep reads other rows' scales through the
-            // transpose companion, so every scale is in place first.
-            Some(ooc) => {
-                message_pass(
-                    &u,
-                    &self.spans,
-                    &mut ooc.scale,
-                    &mut self.y_next,
-                    &mut self.z_next,
-                ) + ooc.update_s(p, beta, gk)
+        let passes = || {
+            // Pass 1, steps 1+2: F = bound_0^beta(beta*S + S^(k-1)^T)
+            // and d = alpha*w + F e in one row-parallel sweep. Out of
+            // core, F is recomputed in pass 3 instead of stored.
+            let t0 = Instant::now();
+            match ooc {
+                None => fused_f_d(&p.s, spans, sk, p.l.weights(), alpha, beta, fv, d),
+                Some(ooc) => ooc.fused_d(p, alpha, beta, d),
             }
+            trace.add(Step::ComputeF, t0.elapsed());
+
+            // Pass 2: the othermax statistics of the committed messages.
+            let t0 = Instant::now();
+            vertex_stats_into(&p.l, y, z, row_stats, col_stats, CHUNK);
+            trace.add(Step::OtherMax, t0.elapsed());
+
+            // Pass 3, steps 3–5 and the finite count of the guard.
+            let t0 = Instant::now();
+            let u = EdgeUpdate {
+                l: &p.l,
+                col_pos,
+                row_stats,
+                col_stats,
+                d,
+                y,
+                z,
+                gk,
+            };
+            let nonfinite = match ooc {
+                None => update_pass(&u, p.s.rowptr(), spans, fv, sk, sk_next, y_next, z_next),
+                // The S sweep reads other rows' scales through the
+                // transpose companion, so every scale is in place first.
+                Some(ooc) => {
+                    message_pass(&u, spans, &mut ooc.scale, y_next, z_next)
+                        + ooc.update_s(p, beta, gk)
+                }
+            };
+            trace.add(Step::UpdateS, t0.elapsed());
+            nonfinite
         };
-        self.trace.add(Step::UpdateS, t0.elapsed());
+        let mut nonfinite = beside_flush(p, config, lanes, flush_bufs, counters, passes);
+        self.merge_flush();
 
         if faults::active() && faults::nan_due("bp.damping", k as u64) {
             self.y_next[0] = f64::NAN;
@@ -454,48 +520,105 @@ impl<'a> BpEngine<'a> {
     /// greedy returns the same unique matching, only faster, so the
     /// rung changes no result bit. A no-op when the engine already
     /// rounds greedily; otherwise the replacement engine allocates once.
+    /// The lanes switch at the next [`round_pending`](Self::round_pending),
+    /// once a flush in flight is rounded with the matcher it was handed
+    /// over under, so the matcher counters stay those of a run that
+    /// rounded it right away and the rung itself rounds nothing.
     pub fn force_cheap_rounding(&mut self) {
-        for lane in &mut self.lanes {
-            if lane.engine.kind() != MatcherKind::Greedy {
-                lane.engine = MatcherEngine::new(&self.p.l, MatcherKind::Greedy);
-            }
-        }
+        self.cheap_rounding = true;
     }
 
-    /// Drop every staged-but-unrounded iterate, recycling the buffers.
-    /// Used by the harness at a deadline stop: the incumbent must be
-    /// assembled *now*, and rounding the backlog would spend time the
-    /// budget no longer has.
+    /// Complete the flush in flight, or drop it if the caller's cancel
+    /// scope cancels that, then drop every staged iterate not yet handed
+    /// to a rounding, recycling the buffers. Used by the harness at a
+    /// deadline or cancel stop: the incumbent must be assembled *now*,
+    /// but every iteration whose rounding was already due keeps it, also
+    /// after a step unwound mid-flush, while the run's clock deadline
+    /// allows (the harness's scope fires there).
     pub fn discard_pending(&mut self) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.complete_flush())) {
+            if payload.downcast_ref::<rayon::RegionCancelled>().is_none() {
+                resume_unwind(payload);
+            }
+            self.lanes.iter_mut().for_each(|lane| lane.values.clear());
+            self.flush_iter.clear();
+            self.buf_pool.append(&mut self.flush_bufs);
+        }
         self.pending_iter.clear();
         self.buf_pool.append(&mut self.pending_bufs);
     }
 
-    /// Round every staged iterate (`BP(batch = r)`), update the
-    /// incumbent in staging order, and recycle the staging buffers.
-    /// The staged vectors are independent tasks, as in the paper: the
-    /// lanes round one contiguous run each, concurrently, and a
-    /// parallel matcher nests its own parallelism on its lane's share
-    /// of the pool. Zero steady-state allocation with the preallocated
-    /// matchers. With a trajectory recorder attached, which keeps every
-    /// stage's matching, the first lane rounds the whole flush.
+    /// Round every staged iterate (`BP(batch = r)`): hand them to the
+    /// next [`step`](Self::step), which rounds them beside its own
+    /// passes in one pool region and then updates the incumbent and
+    /// history in staging order. A flush still in flight is completed
+    /// first. The staged vectors are independent tasks, as in the
+    /// paper: the lanes round one contiguous run each, concurrently,
+    /// and a parallel matcher nests its own parallelism on its lane's
+    /// share of the pool. No iterate reads a rounding, so handing it
+    /// over changes no result bit. Zero steady-state allocation with the
+    /// preallocated matchers. With a trajectory recorder attached, which
+    /// keeps every stage's matching, the first lane rounds the whole
+    /// flush here and now.
     pub fn round_pending(&mut self) {
-        if self.pending_iter.is_empty() {
+        self.complete_flush();
+        for lane in self.lanes.iter_mut().filter(|_| self.cheap_rounding) {
+            if lane.engine.kind() != MatcherKind::Greedy {
+                lane.engine = MatcherEngine::new(&self.p.l, MatcherKind::Greedy);
+            }
+        }
+        std::mem::swap(&mut self.pending_iter, &mut self.flush_iter);
+        std::mem::swap(&mut self.pending_bufs, &mut self.flush_bufs);
+        if self.recorder.is_some() {
+            self.complete_flush();
+        }
+    }
+
+    /// Round the flush in flight, if any, on the lanes — only what an
+    /// unwound step left unrounded — and merge it.
+    fn complete_flush(&mut self) {
+        if self.flush_iter.is_empty() {
+            return;
+        }
+        let Self {
+            p,
+            config,
+            flush_iter,
+            flush_bufs,
+            lanes,
+            counters,
+            recorder,
+            ..
+        } = self;
+        match recorder {
+            Some(rec) => {
+                for (idx, (&iter_k, g)) in flush_iter.iter().zip(flush_bufs.iter()).enumerate() {
+                    let (m, value) = lanes[0].round(p, config, g, counters);
+                    rec.record_stage(iter_k, idx % 2, m, value);
+                }
+            }
+            None => beside_flush(p, config, lanes, flush_bufs, counters, || ()),
+        }
+        self.merge_flush();
+    }
+
+    /// Merge a rounded flush into the incumbent and history in staging
+    /// order, recycle its buffers, and add its longest lane's time, plus
+    /// the merge, to the `match` step of the trace.
+    fn merge_flush(&mut self) {
+        if self.flush_iter.is_empty() {
             return;
         }
         let t0 = Instant::now();
-        let (config, record_history) = (self.config, self.config.record_history);
+        let record_history = self.config.record_history;
         let Self {
-            p,
-            pending_iter,
-            pending_bufs,
+            flush_iter,
+            flush_bufs,
             buf_pool,
             lanes,
-            counters,
             history,
             best,
             best_g,
-            recorder,
             trace,
             ..
         } = self;
@@ -503,34 +626,9 @@ impl<'a> BpEngine<'a> {
         trace
             .algo
             .rounding_batch_sizes
-            .push(pending_bufs.len() as u64);
-        lanes.iter_mut().for_each(|lane| lane.values.clear());
-        if let Some(rec) = recorder.as_mut() {
-            for (idx, (&iter_k, g)) in pending_iter.iter().zip(pending_bufs.iter()).enumerate() {
-                let (m, value) = lanes[0].round(p, config, g, counters);
-                rec.record_stage(iter_k, idx % 2, m, value);
-            }
-        } else {
-            let (per_lane, staged) = (pending_bufs.len().div_ceil(lanes.len()), &*pending_bufs);
-            // The lanes split the pool: each lane's matcher runs its
-            // nested parallel regions on its share of the threads, so
-            // concurrent lanes do not recruit workers beyond the pool.
-            // (A vendored-rayon pool is only a thread-count scope, so
-            // building one allocates nothing.)
-            let share = rayon::ThreadPoolBuilder::new()
-                .num_threads((rayon::current_num_threads() / lanes.len()).max(1))
-                .build()
-                .expect("the vendored thread pool builder is infallible");
-            lanes.par_iter_mut().enumerate().for_each(|(i, lane)| {
-                share.install(|| {
-                    for g in staged.iter().skip(i * per_lane).take(per_lane) {
-                        lane.round(p, config, g, counters);
-                    }
-                })
-            });
-        }
+            .push(flush_bufs.len() as u64);
         let values = lanes.iter().flat_map(|lane| &lane.values);
-        for ((&iter_k, g), v) in pending_iter.iter().zip(pending_bufs.iter()).zip(values) {
+        for ((&iter_k, g), v) in flush_iter.iter().zip(flush_bufs.iter()).zip(values) {
             if record_history {
                 history.push(IterationRecord {
                     iteration: iter_k,
@@ -546,9 +644,17 @@ impl<'a> BpEngine<'a> {
                 trace.algo.best_improvements += 1;
             }
         }
-        pending_iter.clear();
-        buf_pool.append(pending_bufs);
-        trace.add(Step::Match, t0.elapsed());
+        let busy = lanes
+            .iter_mut()
+            .map(|lane| {
+                lane.values.clear();
+                std::mem::take(&mut lane.busy)
+            })
+            .max()
+            .unwrap_or_default();
+        flush_iter.clear();
+        buf_pool.append(flush_bufs);
+        trace.add(Step::Match, busy + t0.elapsed());
         self.post_round_release();
     }
 
@@ -570,12 +676,15 @@ impl<'a> BpEngine<'a> {
         self.trace.end_iteration();
     }
 
-    /// Attach a trajectory recorder (incremental re-alignment support).
+    /// Attach a trajectory recorder (incremental re-alignment support),
+    /// after completing a flush in flight: from here on every flush is
+    /// rounded when it is due.
     pub fn set_recorder(&mut self, recorder: crate::delta::TrajectoryRecorder) {
         assert!(
             self.ooc.is_none(),
             "trajectory recording is not supported in out-of-core mode"
         );
+        self.complete_flush();
         self.recorder = Some(recorder);
     }
 
@@ -587,12 +696,18 @@ impl<'a> BpEngine<'a> {
     /// Snapshot the engine for [`crate::checkpoint`]. Between steps
     /// the committed iterate is the whole iterate state (the output
     /// buffers are overwritten by the next step), so only it is
-    /// captured.
-    pub fn checkpoint_state(&self) -> BpState {
+    /// captured. A flush in flight is completed first, so the snapshot
+    /// holds its rounding, as one taken right after a synchronous flush
+    /// would, and never in-flight vectors. The completion is
+    /// uncancellable, like final assembly (a deadline checkpoint is cut
+    /// after the token fired). With a checkpoint due every iteration,
+    /// each flush is rounded here, not beside the next iteration's passes.
+    pub fn checkpoint_state(&mut self) -> BpState {
         assert!(
             self.ooc.is_none(),
             "checkpointing is not supported in out-of-core mode"
         );
+        rayon::with_cancel_scope(0, || self.complete_flush());
         BpState {
             k: self.k,
             gamma: self.gamma,
@@ -629,11 +744,13 @@ impl<'a> BpEngine<'a> {
         self.counters.preload(&state.matcher);
     }
 
-    /// Flush any remaining staged iterates and assemble the result,
-    /// leaving the engine hollow but alive so owned components (the
-    /// trajectory recorder) can still be taken afterwards.
+    /// Complete the flush in flight, round any remaining staged
+    /// iterates, and assemble the result, leaving the engine hollow but
+    /// alive so owned components (the trajectory recorder) can still be
+    /// taken afterwards.
     pub fn finish_in_place(&mut self) -> AlignmentResult {
         self.round_pending();
+        self.complete_flush();
         let history = std::mem::take(&mut self.history);
         let trace = std::mem::take(&mut self.trace);
         let mut best_g = std::mem::take(&mut self.best_g);

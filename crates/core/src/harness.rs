@@ -48,7 +48,9 @@
 //! runtime probes the run's token once per *chunk claim* (a cancelled
 //! parallel region unwinds within one chunk of work per participant,
 //! with the pool reusable afterward), and the harness probes at
-//! *iteration boundaries*, where stopping is deterministic.
+//! *iteration boundaries*, where stopping is deterministic. A stop
+//! rounds BP's flush in flight only until the clock deadline; a
+//! checkpoint snapshot rounds it regardless, at most one flush.
 //!
 //! Under pressure — an EWMA of per-iteration cost approaching the
 //! remaining budget — the harness climbs a degradation ladder *before*
@@ -353,6 +355,9 @@ impl RunHarness {
         let mut last_write = Instant::now();
         let mut completed = engine.iteration();
         let mut stop: Option<Stop> = None;
+        // A periodic snapshot completes the flush in flight outside the
+        // timed step, so its time counts toward the next iteration.
+        let mut snapshot_time = Duration::ZERO;
         while engine.iteration() < config.iterations {
             let iter_start = Instant::now();
             let stepped = catch_unwind(AssertUnwindSafe(|| {
@@ -367,7 +372,9 @@ impl RunHarness {
                 break;
             }
             completed = engine.iteration();
-            match driver.after_iteration(completed as u64, iter_start.elapsed().as_secs_f64()) {
+            let iter_secs =
+                (iter_start.elapsed() + std::mem::take(&mut snapshot_time)).as_secs_f64();
+            match driver.after_iteration(completed as u64, iter_secs) {
                 Verdict::Continue { escalate_to } => match escalate_to {
                     1 => engine.escalate_batch(),
                     2 => {
@@ -411,7 +418,9 @@ impl RunHarness {
             iters_since += 1;
             if let Some(dir) = &self.checkpoint_dir {
                 if policy.due(iters_since, last_write.elapsed().as_secs_f64()) {
+                    let t0 = Instant::now();
                     let state = CheckpointState::Bp(engine.checkpoint_state());
+                    snapshot_time = t0.elapsed();
                     Self::write_snapshot(
                         dir,
                         EngineKind::Bp,
@@ -448,8 +457,9 @@ impl RunHarness {
                     });
                 }
                 // No time to round the staged backlog — the incumbent
-                // is the answer.
-                engine.discard_pending();
+                // is the answer. The flush in flight is completed only
+                // while the run's deadline allows.
+                driver.until_deadline(|| engine.discard_pending());
                 AlignOutcome {
                     result: engine.finish_in_place(),
                     completion: stop.completion,
@@ -796,6 +806,20 @@ impl BudgetDriver {
                 completion: Completion::Cancelled,
                 checkpoint: None,
             },
+        }
+    }
+
+    /// Run `f` in a fresh cancel scope that fires only at the run's
+    /// clock deadline, or in no scope when the run has none.
+    fn until_deadline(&self, f: impl FnOnce()) {
+        let scope = self
+            .token
+            .deadline()
+            .map_or(0, |at| cancel::register(CancelToken::with_deadline(at)));
+        let done = catch_unwind(AssertUnwindSafe(|| rayon::with_cancel_scope(scope, f)));
+        cancel::deregister(scope);
+        if let Err(payload) = done {
+            resume_unwind(payload);
         }
     }
 

@@ -26,6 +26,7 @@ use netalign_graph::generators::{add_random_edges, identity_plus_noise_l, power_
 use netalign_matching::MatcherKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Wraps the system allocator; counts allocation events while armed.
 struct CountingAllocator;
@@ -73,6 +74,24 @@ fn disarm() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// Wait (up to a second) until the test harness's main thread sleeps.
+/// It registers a test in its own tables only after spawning the test's
+/// thread, so on a busy host that registration could otherwise run, and
+/// be counted, inside the first armed window. The main thread's id is
+/// the process id; where `/proc` is missing this returns at once.
+fn wait_for_harness_to_sleep() {
+    let stat = format!("/proc/self/task/{}/stat", std::process::id());
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(1) {
+        match std::fs::read_to_string(&stat) {
+            // The state is the field after the parenthesized name.
+            Ok(s) if s.rsplit(") ").next().is_some_and(|f| f.starts_with('S')) => return,
+            Ok(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(_) => return,
+        }
+    }
+}
+
 fn problem() -> NetAlignProblem {
     let g = power_law_graph(80, 2.3, 14, 5);
     let a = add_random_edges(&g, 0.02, 6);
@@ -83,6 +102,7 @@ fn problem() -> NetAlignProblem {
 
 #[test]
 fn steady_state_iterations_do_not_allocate() {
+    wait_for_harness_to_sleep();
     let p = problem();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
@@ -105,6 +125,10 @@ fn steady_state_iterations_do_not_allocate() {
             }
             engine.end_iteration();
         }
+        // The flush handed over at iteration 8 would be rounded by the
+        // next step, with the (allocating) exact matcher. Complete it
+        // here, so the window starts with no flush in flight.
+        engine.round_pending();
 
         // One full batch window in the steady state: four iterations of
         // message updates, staging into recycled buffers, and trace

@@ -420,3 +420,47 @@ fn concurrent_harness_runs_cancel_independently() {
         "bystander vs undisturbed",
     );
 }
+
+/// BP hands a due rounding flush to the next step. A stop completes
+/// that flush in flight only while its cancel scope lets it — the
+/// harness's fires at the run's clock deadline — and a cancelled
+/// completion drops the whole flush, as a step cancelled while
+/// rounding would: the incumbent and history end at the iteration
+/// before, and the result is still a valid matching.
+#[test]
+fn cancelled_completion_drops_the_flush_in_flight() {
+    use netalign_core::bp::BpEngine;
+    use netalign_core::trace::cancel;
+    let _guard = faults::test_lock();
+    let p = problem();
+    let cfg = AlignConfig {
+        iterations: 12,
+        record_history: true,
+        ..Default::default()
+    };
+    for threads in [1, 2, 4] {
+        let r = pool(threads).install(|| {
+            let mut engine = BpEngine::new(&p, &cfg);
+            for _ in 0..6 {
+                engine.step();
+                engine.round_pending();
+                engine.end_iteration();
+            }
+            let token = CancelToken::new();
+            token.cancel(CancelReason::Deadline);
+            let scope = cancel::register(token);
+            rayon::with_cancel_scope(scope, || engine.discard_pending());
+            cancel::deregister(scope);
+            engine.finish_in_place()
+        });
+        let last = r.history.last().map(|h| h.iteration);
+        assert_eq!(
+            last,
+            Some(5),
+            "pool {threads}: the flush of iteration 6 must be dropped"
+        );
+        assert_eq!(r.history.len(), 10, "pool {threads}");
+        assert!(r.best_iteration <= 5, "pool {threads}");
+        assert!(r.matching.is_valid(&p.l), "pool {threads}");
+    }
+}

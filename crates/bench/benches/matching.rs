@@ -10,12 +10,22 @@
 //! actually sees: the staged y and z vectors of a 50-iteration BP run
 //! on the lcsh-wiki stand-in at scale 0.00065, seed 1 (the
 //! `bp-ontology` instance), most of whose entries are not positive.
-//! It sweeps `NETALIGN_BENCH_POOLS` (default 1,4).
+//! Each function rounds all 100 vectors per sample. `greedy` and
+//! `ld-parallel` time the matcher alone; `lane-greedy` is a rounding
+//! lane's whole work per vector, the greedy matching and its objective
+//! evaluation, as BP's `RoundingLane::round` does it. The vectors must
+//! be distinct: a kernel looped on one vector trains the branch
+//! predictor on that vector's comparisons, and on BP's iterates those
+//! data-dependent branches, not memory, set the cost of both the
+//! matcher and the passes (a pass kernel ran 2.5–5× faster looped on
+//! one iterate than on the stream). The group sweeps
+//! `NETALIGN_BENCH_POOLS` (default 1,4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netalign_bench::bench_pools;
 use netalign_core::bp::BpEngine;
 use netalign_core::config::AlignConfig;
+use netalign_core::objective::{evaluate_matching_with_scratch, EvalScratch};
 use netalign_data::standins::StandIn;
 use netalign_data::synthetic::{power_law_alignment, PowerLawParams};
 use netalign_matching::{max_weight_matching, MatcherCounters, MatcherEngine, MatcherKind};
@@ -177,6 +187,26 @@ fn bench_rounding_iterates(c: &mut Criterion) {
                 })
             });
         }
+        group.bench_function(BenchmarkId::new("lane-greedy", threads), |b| {
+            let mut eng = MatcherEngine::new(l, MatcherKind::Greedy);
+            let mut eval = EvalScratch::new(l);
+            let counters = MatcherCounters::disabled();
+            let cfg = AlignConfig::default();
+            pool.install(|| {
+                b.iter(|| {
+                    for g in &staged {
+                        let m = eng.run(l, g, counters);
+                        black_box(evaluate_matching_with_scratch(
+                            &inst.problem,
+                            m,
+                            cfg.alpha,
+                            cfg.beta,
+                            &mut eval,
+                        ));
+                    }
+                })
+            })
+        });
     }
     group.finish();
 }

@@ -37,11 +37,17 @@
 //! * **pass 2** takes the per-vertex `max2` statistics of `y⁽ᵏ⁻¹⁾`
 //!   (left vertices) and `z⁽ᵏ⁻¹⁾` (right vertices) as one `join`
 //!   ([`othermax::vertex_stats_into`]);
-//! * **pass 3** walks the row spans of `S` once. For each edge it reads
-//!   both othermax values from those statistics, forms `y`, `z` and the
-//!   row scale `y + z − d` from the undamped values, damps `y` and `z`,
-//!   writes the damped row `γᵏ·(scale − F) + (1 − γᵏ)·S⁽ᵏ⁻¹⁾`, and
-//!   counts the non-finite values it wrote.
+//! * **pass 3** walks the span groups of `S` once, each as two flat
+//!   loops. The first runs over the group's edges: it reads both
+//!   othermax values from those statistics, forms `y`, `z` and the row
+//!   scale `y + z − d` from the undamped values, damps `y` and `z`, and
+//!   keeps each scale in an `|E_L|` scratch. The second runs over the
+//!   group's entries of `S`, takes each entry's row from a per-entry row
+//!   map built once in [`BpEngine::new`], and writes the damped value
+//!   `γᵏ·(scale − F) + (1 − γᵏ)·S⁽ᵏ⁻¹⁾`. So no loop's trip count depends
+//!   on the length of a row of `S`, whose loop exit would mispredict on
+//!   rows of uneven length. Both loops count the non-finite values they
+//!   write. Out of core, a superblock sweep replaces the second loop.
 //!
 //! The committed iterate `(y, z, S)` is read-only during a step: the
 //! passes write a second buffer set, which is swapped in when the count
@@ -76,7 +82,9 @@ pub mod othermax;
 
 use crate::checkpoint::BpState;
 use crate::config::AlignConfig;
-use crate::objective::{evaluate_matching, evaluate_matching_with_scratch, ObjectiveValue};
+use crate::objective::{
+    evaluate_matching, evaluate_matching_with_scratch, EvalScratch, ObjectiveValue,
+};
 use crate::oocore::{OocError, OocOptions, OocState};
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
@@ -155,13 +163,16 @@ pub struct BpEngine<'a> {
     z_next: Vec<f64>,
     sk_next: Vec<f64>,
     // Pass scratch: d and F from pass 1, the per-vertex othermax
-    // statistics from pass 2.
+    // statistics from pass 2, each edge's row scale from pass 3.
     d: Vec<f64>,
     fv: Vec<f64>,
     row_stats: Vec<Max2>,
     col_stats: Vec<Max2>,
-    // Loop-invariant structure, computed once per run.
+    scale: Vec<f64>,
+    // Loop-invariant structure, computed once per run: each edge's
+    // position in its column, each entry's row of S (in core only).
     col_pos: Vec<u32>,
+    entry_rows: Vec<u32>,
     spans: RowSpans,
     // Rounding bookkeeping: staged vectors (and their iterations)
     // awaiting a batched rounding, the flush handed to the next step
@@ -200,13 +211,13 @@ pub struct BpEngine<'a> {
     history: Vec<IterationRecord>,
 }
 
-/// One rounding lane of [`BpEngine`]: a matcher engine, the all-false
-/// scratch of its allocation-free objective evaluation, and the values
+/// One rounding lane of [`BpEngine`]: a matcher engine, the scratch of
+/// its allocation-free objective evaluation, and the values
 /// of the vectors it rounded in the current flush, in staging order,
 /// with the time it spent on them.
 struct RoundingLane {
     engine: MatcherEngine,
-    marks: Vec<bool>,
+    eval: EvalScratch,
     values: Vec<ObjectiveValue>,
     busy: Duration,
 }
@@ -223,8 +234,7 @@ impl RoundingLane {
     ) -> (&Matching, ObjectiveValue) {
         let t0 = Instant::now();
         let m = self.engine.run(&p.l, g, counters);
-        let value =
-            evaluate_matching_with_scratch(p, m, config.alpha, config.beta, &mut self.marks);
+        let value = evaluate_matching_with_scratch(p, m, config.alpha, config.beta, &mut self.eval);
         self.values.push(value);
         self.busy += t0.elapsed();
         (m, value)
@@ -320,7 +330,13 @@ impl<'a> BpEngine<'a> {
             fv: vec![0.0; nnz],
             row_stats: vec![(0.0, 0.0, 0); p.l.num_left()],
             col_stats: vec![(0.0, 0.0, 0); p.l.num_right()],
+            scale: vec![0.0; m],
             col_pos: column_positions(&p.l),
+            entry_rows: if nnz_state {
+                entry_rows(p.s.rowptr())
+            } else {
+                Vec::new()
+            },
             spans: RowSpans::from_rowptr(p.s.rowptr()),
             pending_iter: Vec::with_capacity(batch_cap),
             pending_bufs: Vec::with_capacity(batch_cap),
@@ -330,7 +346,7 @@ impl<'a> BpEngine<'a> {
             lanes: (0..rayon::current_num_threads().min(2 * config.batch.max(1)))
                 .map(|_| RoundingLane {
                     engine: MatcherEngine::new(&p.l, config.matcher),
-                    marks: vec![false; m],
+                    eval: EvalScratch::new(&p.l),
                     values: Vec::with_capacity(batch_cap),
                     busy: Duration::ZERO,
                 })
@@ -384,7 +400,9 @@ impl<'a> BpEngine<'a> {
             fv,
             row_stats,
             col_stats,
+            scale,
             col_pos,
+            entry_rows,
             spans,
             ooc,
             trace,
@@ -428,12 +446,14 @@ impl<'a> BpEngine<'a> {
                 gk,
             };
             let nonfinite = match ooc {
-                None => update_pass(&u, p.s.rowptr(), spans, fv, sk, sk_next, y_next, z_next),
+                None => update_pass(
+                    &u, spans, entry_rows, fv, sk, scale, sk_next, y_next, z_next,
+                ),
                 // The S sweep reads other rows' scales through the
                 // transpose companion, so every scale is in place first.
                 Some(ooc) => {
-                    message_pass(&u, spans, &mut ooc.scale, y_next, z_next)
-                        + ooc.update_s(p, beta, gk)
+                    message_pass(&u, spans, scale, y_next, z_next)
+                        + ooc.update_s(p, beta, gk, scale)
                 }
             };
             trace.add(Step::UpdateS, t0.elapsed());
@@ -854,39 +874,52 @@ impl EdgeUpdate<'_> {
     }
 
     /// The per-edge update over the edges `rows` (one span group),
-    /// writing the damped messages into the group's `y_next`/`z_next`
-    /// chunks and handing each edge's row scale to `row`, which returns
-    /// the count of non-finite values it wrote. Returns the group's
-    /// total count, messages included.
+    /// writing the damped messages and the row scales into the group's
+    /// chunks. Returns the count of non-finite messages.
     #[inline]
-    fn rows(
+    fn messages(
         &self,
         rows: Range<usize>,
+        scale: &mut [f64],
         y_next: &mut [f64],
         z_next: &mut [f64],
-        mut row: impl FnMut(usize, f64) -> u64,
     ) -> u64 {
         let mut bad = 0;
-        for ((e, yn), zn) in rows.zip(y_next).zip(z_next) {
-            let (y, z, scale) = self.at(e);
-            (*yn, *zn) = (y, z);
-            bad += u64::from(!y.is_finite()) + u64::from(!z.is_finite()) + row(e, scale);
+        for (((e, sc), yn), zn) in rows.zip(scale).zip(y_next).zip(z_next) {
+            let (y, z, s) = self.at(e);
+            (*sc, *yn, *zn) = (s, y, z);
+            bad += u64::from(!y.is_finite()) + u64::from(!z.is_finite());
         }
         bad
     }
 }
 
-/// Pass 3 in core: one row-parallel sweep over the span groups of `S`
-/// that updates each edge's messages and then its damped `S` row,
-/// `sk_next[idx] = γᵏ·(scale − F[idx]) + (1 − γᵏ)·sk[idx]` with `F` from
-/// pass 1. Returns the count of non-finite values written.
+/// The row of every entry of a CSR pattern, for sweeps whose trip
+/// count should not depend on the length of a row.
+fn entry_rows(rowptr: &[usize]) -> Vec<u32> {
+    let mut rows = Vec::with_capacity(rowptr[rowptr.len() - 1]);
+    for (r, w) in rowptr.windows(2).enumerate() {
+        rows.resize(w[1], r as u32);
+    }
+    rows
+}
+
+/// Pass 3 in core: one row-parallel sweep over the span groups of `S`.
+/// Each group runs two flat loops: the per-edge update of its messages
+/// and row scales, then one loop over its entries of `S` that writes
+/// the damped row `sk_next[idx] = γᵏ·(scale[row] − F[idx]) + (1 − γᵏ)·
+/// sk[idx]`, with `F` from pass 1 and `row` from `entry_rows`. Neither
+/// loop's trip count depends on the length of a row, so no exit
+/// branch mispredicts per row. Returns the count of non-finite values
+/// written.
 #[allow(clippy::too_many_arguments)]
 fn update_pass(
     u: &EdgeUpdate,
-    rowptr: &[usize],
     spans: &RowSpans,
+    entry_rows: &[u32],
     fv: &[f64],
     sk: &[f64],
+    scale: &mut [f64],
     sk_next: &mut [f64],
     y_next: &mut [f64],
     z_next: &mut [f64],
@@ -894,21 +927,25 @@ fn update_pass(
     let row_bounds = spans.row_bounds();
     let entry_bounds = spans.entry_bounds();
     par_uneven_chunks_mut(sk_next, entry_bounds)
+        .zip(par_uneven_chunks_mut(scale, row_bounds))
         .zip(par_uneven_chunks_mut(y_next, row_bounds))
         .zip(par_uneven_chunks_mut(z_next, row_bounds))
         .enumerate()
-        .map(|(g, ((sk_chunk, y_chunk), z_chunk))| {
-            let base = entry_bounds[g];
-            let rows = row_bounds[g]..row_bounds[g + 1];
-            u.rows(rows, y_chunk, z_chunk, |e, scale| {
-                let mut bad = 0;
-                for idx in rowptr[e]..rowptr[e + 1] {
-                    let v = damped(u.gk, scale - fv[idx], sk[idx]);
-                    sk_chunk[idx - base] = v;
-                    bad += u64::from(!v.is_finite());
-                }
-                bad
-            })
+        .map(|(g, (((sk_chunk, scale_chunk), y_chunk), z_chunk))| {
+            let row0 = row_bounds[g];
+            let mut bad = u.messages(row0..row_bounds[g + 1], scale_chunk, y_chunk, z_chunk);
+            let entries = entry_bounds[g]..entry_bounds[g + 1];
+            let rows = &entry_rows[entries.clone()];
+            for (((v, &r), &f), &prev) in sk_chunk
+                .iter_mut()
+                .zip(rows)
+                .zip(&fv[entries.clone()])
+                .zip(&sk[entries])
+            {
+                *v = damped(u.gk, scale_chunk[r as usize - row0] - f, prev);
+                bad += u64::from(!v.is_finite());
+            }
+            bad
         })
         .sum()
 }
@@ -930,11 +967,12 @@ fn message_pass(
         .zip(par_uneven_chunks_mut(z_next, row_bounds))
         .enumerate()
         .map(|(g, ((scale_chunk, y_chunk), z_chunk))| {
-            let row0 = row_bounds[g];
-            u.rows(row0..row_bounds[g + 1], y_chunk, z_chunk, |e, s| {
-                scale_chunk[e - row0] = s;
-                0
-            })
+            u.messages(
+                row_bounds[g]..row_bounds[g + 1],
+                scale_chunk,
+                y_chunk,
+                z_chunk,
+            )
         })
         .sum()
 }

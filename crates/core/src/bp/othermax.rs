@@ -17,38 +17,42 @@
 
 use netalign_graph::{BipartiteGraph, VertexId};
 use rayon::prelude::*;
+use std::hint::select_unpredictable;
 
 /// Per-vertex `(max, second max, position of the max)` of a weight
 /// vector over the vertex's edge list, as [`max2`] computes it.
 pub type Max2 = (f64, f64, usize);
 
-/// Find `(max, second_max, argmax_position)` of an iterator of values.
-/// `pub(crate)` so the delta replay recomputes othermax entries with
-/// bit-identical comparison order.
+/// Find `(max, second_max, argmax_position)` of an iterator of values:
+/// a value strictly above the maximum takes its place (the old maximum
+/// becomes the second), else one strictly above the second maximum
+/// replaces it. Both comparisons run for every value and select without
+/// branching, since on real iterates their outcome is data-dependent
+/// and a mispredicted branch costs more than the select. `pub(crate)`
+/// so the delta replay recomputes othermax entries with bit-identical
+/// comparison order.
 #[inline]
 pub(crate) fn max2(vals: impl Iterator<Item = f64>) -> Max2 {
     let mut max1 = f64::NEG_INFINITY;
     let mut max2 = f64::NEG_INFINITY;
     let mut arg = usize::MAX;
     for (i, v) in vals.enumerate() {
-        if v > max1 {
-            max2 = max1;
-            max1 = v;
-            arg = i;
-        } else if v > max2 {
-            max2 = v;
-        }
+        let (top, second) = (v > max1, v > max2);
+        max2 = select_unpredictable(top, max1, select_unpredictable(second, v, max2));
+        max1 = select_unpredictable(top, v, max1);
+        arg = select_unpredictable(top, i, arg);
     }
     (max1, max2, arg)
 }
 
 /// `othermax` of the edge at position `pos` of its vertex's edge list,
 /// from that vertex's statistic: the largest sibling value (the second
-/// maximum when the edge holds the maximum), clamped at zero.
+/// maximum when the edge holds the maximum), clamped at zero — a value
+/// not above zero, either zero and NaN included, reads `+0.0`.
 #[inline]
 pub fn othermax((max1, max2, arg): Max2, pos: usize) -> f64 {
-    let v = if pos == arg { max2 } else { max1 };
-    v.max(0.0)
+    let v = select_unpredictable(pos == arg, max2, max1);
+    select_unpredictable(v > 0.0, v, 0.0)
 }
 
 /// Precompute each edge's position within its right vertex's column
@@ -173,6 +177,50 @@ mod tests {
         let l = BipartiteGraph::from_entries(1, 2, vec![(0, 0, 0.0), (0, 1, 0.0)]);
         let g = vec![7.0, 7.0];
         assert_eq!(othermax_row_col(&l, &g, 1).0, vec![7.0, 7.0]);
+    }
+
+    /// `max2` written with branches: the reference its selects match.
+    fn max2_branching(vals: &[f64]) -> Max2 {
+        let (mut max1, mut max2, mut arg) = (f64::NEG_INFINITY, f64::NEG_INFINITY, usize::MAX);
+        for (i, &v) in vals.iter().enumerate() {
+            if v > max1 {
+                max2 = max1;
+                max1 = v;
+                arg = i;
+            } else if v > max2 {
+                max2 = v;
+            }
+        }
+        (max1, max2, arg)
+    }
+
+    /// Every list of up to four values drawn from a palette with ties,
+    /// both zeros, both infinities and NaN, the empty list included:
+    /// `max2` agrees with the branching loop bit for bit, argmax too.
+    #[test]
+    fn max2_matches_the_branching_loop_bit_for_bit() {
+        let palette = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            2.0,
+            f64::INFINITY,
+        ];
+        let mut vals = Vec::with_capacity(4);
+        for len in 0..=4u32 {
+            for code in 0..palette.len().pow(len) {
+                vals.clear();
+                vals.extend((0..len).map(|d| palette[code / palette.len().pow(d) % palette.len()]));
+                let (got, want) = (max2(vals.iter().copied()), max2_branching(&vals));
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits(), got.2),
+                    (want.0.to_bits(), want.1.to_bits(), want.2),
+                    "{vals:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::bp::othermax::{column_positions, max2};
 use crate::bp::BpEngine;
 use crate::checkpoint::{BpState, PayloadReader, PayloadWriter};
 use crate::config::AlignConfig;
-use crate::objective::{evaluate_matching_with_scratch, ObjectiveValue};
+use crate::objective::{evaluate_matching_with_scratch, EvalScratch, ObjectiveValue};
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
 use crate::squares::SquaresPatchStats;
@@ -802,7 +802,7 @@ fn replay_sparse(
     let mut col_stats = vec![(0.0f64, 0.0f64, 0usize); p2.l.num_right()];
     let mut col_epoch = vec![0u32; p2.l.num_right()];
     let mut fv_row: Vec<f64> = Vec::new();
-    let mut marks = vec![false; m2];
+    let mut eval = EvalScratch::new(&p2.l);
 
     // cand(1) = seed; later candidate sets are built during the
     // previous iteration from what actually changed, per input
@@ -993,7 +993,7 @@ fn replay_sparse(
                 for &(a, b) in &traj.stages[slot].pairs {
                     matching.add_pair(a, b);
                 }
-                let value = evaluate_matching_with_scratch(p2, &matching, alpha, beta, &mut marks);
+                let value = evaluate_matching_with_scratch(p2, &matching, alpha, beta, &mut eval);
                 let st = &mut traj.stages[slot];
                 st.iteration = k;
                 st.parity = parity;
@@ -1008,7 +1008,7 @@ fn replay_sparse(
                 // than the queue-based machinery the cold run needs
                 // for parallelism it cannot use mid-replay anyway.
                 let matching = greedy.run(&p2.l, g);
-                let value = evaluate_matching_with_scratch(p2, matching, alpha, beta, &mut marks);
+                let value = evaluate_matching_with_scratch(p2, matching, alpha, beta, &mut eval);
                 let st = &mut traj.stages[slot];
                 st.iteration = k;
                 st.parity = parity;

@@ -33,7 +33,7 @@ pub mod rowmatch;
 use crate::bp::{finalize, install_fault_hook, CHUNK};
 use crate::checkpoint::MrState;
 use crate::config::AlignConfig;
-use crate::objective::evaluate_matching_with_scratch;
+use crate::objective::{evaluate_matching_with_scratch, EvalScratch};
 use crate::problem::NetAlignProblem;
 use crate::result::{AlignmentResult, IterationRecord};
 use crate::rowspans::RowSpans;
@@ -92,11 +92,10 @@ pub struct MrEngine<'a> {
     spans: RowSpans,
     workspaces: Vec<RowWorkspace>,
     // One matcher engine rounds w̄ every iteration, plus the
-    // enriched-rounding weights when that option is on. `eval_marks`
-    // is the all-false scratch for the allocation-free objective
-    // evaluation.
+    // enriched-rounding weights when that option is on. `eval` is the
+    // scratch of the allocation-free objective evaluation.
     rounding: MatcherEngine,
-    eval_marks: Vec<bool>,
+    eval: EvalScratch,
     // Incumbent and step-size control.
     best: Option<(f64, usize)>,
     best_g: Vec<f64>,
@@ -136,7 +135,7 @@ impl<'a> MrEngine<'a> {
             spans,
             workspaces,
             rounding: MatcherEngine::new(&p.l, config.matcher),
-            eval_marks: vec![false; m],
+            eval: EvalScratch::new(&p.l),
             best: None,
             best_g: vec![0.0; m],
             best_upper: f64::INFINITY,
@@ -231,8 +230,7 @@ impl<'a> MrEngine<'a> {
         // Step 4: bounds. The scratch evaluation is bit-identical to
         // the allocating one and keeps the loop allocation-free.
         let t0 = Instant::now();
-        let mut value =
-            evaluate_matching_with_scratch(p, matching, alpha, beta, &mut self.eval_marks);
+        let mut value = evaluate_matching_with_scratch(p, matching, alpha, beta, &mut self.eval);
         matching.indicator_into(&p.l, &mut self.x);
         // Serial dot product: a rayon float reduction's tree shape (and
         // hence its roundoff) depends on work stealing; this sum must be
@@ -266,7 +264,7 @@ impl<'a> MrEngine<'a> {
                     *ge = alpha * p.l.weights()[e] + beta * acc;
                 });
             let m2 = self.rounding.run(&p.l, &self.g2, &self.counters);
-            let v2 = evaluate_matching_with_scratch(p, m2, alpha, beta, &mut self.eval_marks);
+            let v2 = evaluate_matching_with_scratch(p, m2, alpha, beta, &mut self.eval);
             if v2.total > value.total {
                 value = v2;
                 use_enriched = true;

@@ -1,6 +1,15 @@
 //! Objective evaluation: `α wᵀx + (β/2) xᵀSx`.
+//!
+//! A matching holds at most `min(|V_A|, |V_B|)` of the `|E_L|` edges,
+//! and BP rounds two vectors per iteration, so
+//! [`evaluate_matching_with_scratch`] keeps the matched edge ids and
+//! walks only their rows of `S`: its cost follows the matching, not
+//! `|E_L|`. Its caller-owned [`EvalScratch`] is sized once per problem;
+//! [`evaluate_matching`] runs the same code on a scratch of its own,
+//! and [`evaluate_indicator`] is the dense form over an indicator `x`.
 
 use crate::problem::NetAlignProblem;
+use netalign_graph::BipartiteGraph;
 use netalign_matching::Matching;
 
 /// The three components of an evaluated alignment.
@@ -26,75 +35,70 @@ pub fn evaluate_indicator(p: &NetAlignProblem, x: &[f64], alpha: f64, beta: f64)
     }
 }
 
-/// Evaluate a matching without materializing the indicator when
-/// counting overlaps: for each matched edge `e`, count matched partners
-/// in row `e` of `S`.
+/// Evaluate a matching without materializing the indicator: see
+/// [`evaluate_matching_with_scratch`], here on a scratch of its own.
 pub fn evaluate_matching(
     p: &NetAlignProblem,
     m: &Matching,
     alpha: f64,
     beta: f64,
 ) -> ObjectiveValue {
-    let mut x = vec![false; p.l.num_edges()];
-    let mut weight = 0.0;
-    for e in m.edge_ids(&p.l) {
-        x[e] = true;
-        weight += p.l.weight(e);
-    }
-    let mut twice_overlap = 0usize;
-    for e in 0..p.l.num_edges() {
-        if !x[e] {
-            continue;
+    evaluate_matching_with_scratch(p, m, alpha, beta, &mut EvalScratch::new(&p.l))
+}
+
+/// Caller-owned scratch of [`evaluate_matching_with_scratch`], sized
+/// once per problem so steady-state loops do not allocate: a mark per
+/// edge of `L` and room for the matched edge ids, of which a matching
+/// holds at most `min(|V_A|, |V_B|)`. Every evaluation leaves it as
+/// [`EvalScratch::new`] made it.
+#[derive(Debug, PartialEq)]
+pub struct EvalScratch {
+    marks: Vec<bool>,
+    ids: Vec<usize>,
+}
+
+impl EvalScratch {
+    /// An all-clear scratch for matchings in `l`.
+    pub fn new(l: &BipartiteGraph) -> Self {
+        EvalScratch {
+            marks: vec![false; l.num_edges()],
+            ids: Vec::with_capacity(l.num_left().min(l.num_right())),
         }
-        for &f in p.s.row_cols(e) {
-            if x[f as usize] {
-                twice_overlap += 1;
-            }
-        }
-    }
-    let overlap = twice_overlap as f64 / 2.0;
-    ObjectiveValue {
-        weight,
-        overlap,
-        total: alpha * weight + beta * overlap,
     }
 }
 
-/// [`evaluate_matching`] on a caller-owned scratch mark array, for
-/// steady-state loops that must not allocate. `marks` must be all-false
-/// of length `|E_L|` on entry and is restored to all-false on exit
-/// (only the matched entries are touched, so no O(m) clear is paid).
-/// Values are bit-identical to [`evaluate_matching`]: the matched edges
-/// are visited in the same (left-vertex ascending) order.
+/// Evaluate a matching: mark its edges and keep their ids, summing the
+/// weight in matched-pair (left-vertex ascending) order, then count the
+/// marked partners in the matched edges' rows of `S` only, and clear
+/// what was set. The cost follows the matching and its rows of `S`,
+/// not `|E_L|`; the overlap is an integer count, so the order its rows
+/// are walked in changes no bit.
 pub fn evaluate_matching_with_scratch(
     p: &NetAlignProblem,
     m: &Matching,
     alpha: f64,
     beta: f64,
-    marks: &mut [bool],
+    scratch: &mut EvalScratch,
 ) -> ObjectiveValue {
+    let EvalScratch { marks, ids } = scratch;
     assert_eq!(marks.len(), p.l.num_edges());
     let mut weight = 0.0;
     for (a, b) in m.pairs() {
         let e = p.l.edge_id(a, b).expect("matched pair must be an L edge");
         marks[e] = true;
+        ids.push(e);
         weight += p.l.weight(e);
     }
     let mut twice_overlap = 0usize;
-    for e in 0..p.l.num_edges() {
-        if !marks[e] {
-            continue;
-        }
+    for &e in ids.iter() {
         for &f in p.s.row_cols(e) {
-            if marks[f as usize] {
-                twice_overlap += 1;
-            }
+            twice_overlap += usize::from(marks[f as usize]);
         }
     }
-    for (a, b) in m.pairs() {
-        let e = p.l.edge_id(a, b).expect("matched pair must be an L edge");
+    for &e in ids.iter() {
         marks[e] = false;
     }
+    ids.clear();
     let overlap = twice_overlap as f64 / 2.0;
     ObjectiveValue {
         weight,
@@ -158,14 +162,14 @@ mod tests {
         let mut m = Matching::empty(3, 3);
         m.add_pair(0, 1);
         m.add_pair(2, 2);
-        let mut marks = vec![false; p.l.num_edges()];
+        let mut scratch = EvalScratch::new(&p.l);
         for (alpha, beta) in [(1.0, 2.0), (0.3, 1.7)] {
             let plain = evaluate_matching(&p, &m, alpha, beta);
-            let scratch = evaluate_matching_with_scratch(&p, &m, alpha, beta, &mut marks);
-            assert_eq!(plain.weight.to_bits(), scratch.weight.to_bits());
-            assert_eq!(plain.overlap.to_bits(), scratch.overlap.to_bits());
-            assert_eq!(plain.total.to_bits(), scratch.total.to_bits());
-            assert!(marks.iter().all(|&b| !b), "marks must be restored");
+            let v = evaluate_matching_with_scratch(&p, &m, alpha, beta, &mut scratch);
+            assert_eq!(plain.weight.to_bits(), v.weight.to_bits());
+            assert_eq!(plain.overlap.to_bits(), v.overlap.to_bits());
+            assert_eq!(plain.total.to_bits(), v.total.to_bits());
+            assert_eq!(scratch, EvalScratch::new(&p.l), "scratch must be restored");
         }
     }
 

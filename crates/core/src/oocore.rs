@@ -229,8 +229,7 @@ pub(crate) struct Superblock {
 }
 
 /// The out-of-core additions to a [`BpEngine`]: the four spilled
-/// `nnz` streams, the `m`-sized row-scale vector, and the superblock
-/// schedule.
+/// `nnz` streams and the superblock schedule.
 pub(crate) struct OocState {
     /// Committed damped `S⁽ᵏ⁾` values.
     sk: ScratchF64,
@@ -240,9 +239,6 @@ pub(crate) struct OocState {
     sk_next: ScratchF64,
     /// Transpose companion of `sk_next`.
     skt_next: ScratchF64,
-    /// Per-row `y[e] + z[e] − d[e]` of the undamped messages, written
-    /// by pass 3's per-edge update each iteration.
-    pub(crate) scale: Vec<f64>,
     /// Sweep schedule: superblocks aligned to span-group boundaries.
     superblocks: Vec<Superblock>,
 }
@@ -265,7 +261,6 @@ impl OocState {
             skt: ScratchF64::zeroed_in(dir, "bp-skt-a", nnz)?,
             sk_next: ScratchF64::zeroed_in(dir, "bp-sk-b", nnz)?,
             skt_next: ScratchF64::zeroed_in(dir, "bp-skt-b", nnz)?,
-            scale: vec![0.0; m],
             superblocks: superblocks_from_spans(
                 spans,
                 opts.superblock_entries.unwrap_or(plan.superblock_entries),
@@ -309,13 +304,19 @@ impl OocState {
     /// transposes of each other). Only `scale` (m-sized, resident) is
     /// accessed randomly. Returns the count of non-finite `sk_next`
     /// values for the numeric guard.
-    pub(crate) fn update_s(&mut self, p: &NetAlignProblem, beta: f64, gk: f64) -> u64 {
+    pub(crate) fn update_s(
+        &mut self,
+        p: &NetAlignProblem,
+        beta: f64,
+        gk: f64,
+        scale: &[f64],
+    ) -> u64 {
         let (rowptr, colidx) = (p.s.rowptr(), p.s.colidx());
         let mut nonfinite = 0;
         for sb in &self.superblocks {
             self.sk.advise_sequential(sb.entries.clone());
             self.skt.advise_sequential(sb.entries.clone());
-            let (sk, skt, scale) = (self.sk.as_slice(), self.skt.as_slice(), &self.scale);
+            let (sk, skt) = (self.sk.as_slice(), self.skt.as_slice());
             let sk_next = &mut self.sk_next.as_mut_slice()[sb.entries.clone()];
             let skt_next = &mut self.skt_next.as_mut_slice()[sb.entries.clone()];
             let (rb, eb) = (&sb.rel_row_bounds, &sb.rel_entry_bounds);

@@ -1,11 +1,13 @@
 //! Property-based tests of the core alignment machinery.
 
 use netalign_core::bp::othermax::{column_positions, othermax, vertex_stats_into};
-use netalign_core::objective::{evaluate_indicator, evaluate_matching};
+use netalign_core::objective::{
+    evaluate_indicator, evaluate_matching, evaluate_matching_with_scratch, EvalScratch,
+};
 use netalign_core::problem::NetAlignProblem;
 use netalign_core::squares::SquaresMatrix;
 use netalign_graph::{BipartiteGraph, Graph};
-use netalign_matching::{max_weight_matching, MatcherKind};
+use netalign_matching::{max_weight_matching, MatcherKind, Matching};
 use proptest::prelude::*;
 
 /// Strategy: a small random alignment problem.
@@ -22,6 +24,41 @@ fn arb_problem() -> impl Strategy<Value = NetAlignProblem> {
             NetAlignProblem::new(a, b, l)
         })
     })
+}
+
+/// Values for the othermax oracles, drawn from a palette with ties,
+/// both zeros, both infinities and NaN (which reaches pass 2 when the
+/// numeric guards are off).
+fn palette_values(m: usize, seed: u64) -> Vec<f64> {
+    use rand::{Rng, SeedableRng};
+    const PALETTE: [f64; 8] = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        -2.5,
+        -0.0,
+        0.0,
+        1.5,
+        3.0,
+        f64::INFINITY,
+    ];
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    (0..m)
+        .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+        .collect()
+}
+
+/// Reference othermax over the sibling edges of one edge: the first of
+/// the largest sibling values under strict `>` scans (not `f64::max`,
+/// whose result on `±0` Rust leaves unspecified; NaN never wins),
+/// unclamped, and clamped at `+0.0`.
+fn othermax_reference(g: &[f64], siblings: impl Iterator<Item = usize>) -> (f64, f64) {
+    let mut best = f64::NEG_INFINITY;
+    for f in siblings {
+        if g[f] > best {
+            best = g[f];
+        }
+    }
+    (best, if best > 0.0 { best } else { 0.0 })
 }
 
 /// Oracle: count squares by exhaustive enumeration.
@@ -51,13 +88,48 @@ proptest! {
         }
     }
 
+    /// The indicator, allocating and scratch evaluations agree bit for
+    /// bit on the empty matching, every matcher's matching and random
+    /// matchings that take edges whose row of `S` is empty, and each
+    /// scratch evaluation leaves the scratch all-clear.
     #[test]
-    fn objective_paths_agree_for_every_matcher(p in arb_problem()) {
-        for kind in [MatcherKind::Exact, MatcherKind::ParallelLocalDominant] {
-            let m = max_weight_matching(&p.l, p.l.weights(), kind);
-            let via_matching = evaluate_matching(&p, &m, 1.0, 2.0);
-            let via_indicator = evaluate_indicator(&p, &m.indicator(&p.l), 1.0, 2.0);
-            prop_assert!((via_matching.total - via_indicator.total).abs() < 1e-9);
+    fn objective_paths_agree_for_every_matcher(p in arb_problem(), seed in 0u64..1000) {
+        use rand::{Rng, SeedableRng};
+        let (na, nb) = (p.l.num_left(), p.l.num_right());
+        let mut matchings = vec![Matching::empty(na, nb)];
+        for kind in [MatcherKind::Exact, MatcherKind::ParallelLocalDominant, MatcherKind::Greedy] {
+            matchings.push(max_weight_matching(&p.l, p.l.weights(), kind));
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..4 {
+            // Empty-row edges go first so most matchings hold one.
+            let mut order: Vec<(bool, u32, usize)> = p
+                .l
+                .edge_iter()
+                .map(|(_, _, e)| (!p.s.row_cols(e).is_empty(), rng.gen(), e))
+                .collect();
+            order.sort_unstable();
+            let mut m = Matching::empty(na, nb);
+            for (_, _, e) in order {
+                let (a, b) = p.l.endpoints(e);
+                if m.mate_of_left(a).is_none() && m.mate_of_right(b).is_none() && rng.gen_bool(0.6) {
+                    m.add_pair(a, b);
+                }
+            }
+            matchings.push(m);
+        }
+        let mut scratch = EvalScratch::new(&p.l);
+        for m in &matchings {
+            let (alpha, beta) = (0.7, 2.0);
+            let via_indicator = evaluate_indicator(&p, &m.indicator(&p.l), alpha, beta);
+            let via_matching = evaluate_matching(&p, m, alpha, beta);
+            let via_scratch = evaluate_matching_with_scratch(&p, m, alpha, beta, &mut scratch);
+            for v in [via_matching, via_scratch] {
+                prop_assert_eq!(v.weight.to_bits(), via_indicator.weight.to_bits());
+                prop_assert_eq!(v.overlap.to_bits(), via_indicator.overlap.to_bits());
+                prop_assert_eq!(v.total.to_bits(), via_indicator.total.to_bits());
+            }
+            prop_assert!(scratch == EvalScratch::new(&p.l), "scratch left dirty");
             prop_assert!(via_matching.overlap.fract() == 0.0 || via_matching.overlap.fract() == 0.5);
         }
     }
@@ -86,48 +158,37 @@ proptest! {
 
     #[test]
     fn othermax_row_oracle(p in arb_problem(), seed in 0u64..100) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let m = p.l.num_edges();
-        let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        let g = palette_values(p.l.num_edges(), seed);
         let mut rows = vec![(0.0, 0.0, 0usize); p.l.num_left()];
         let mut cols = vec![(0.0, 0.0, 0usize); p.l.num_right()];
         vertex_stats_into(&p.l, &g, &g, &mut rows, &mut cols, 1000);
         for (a, _, e) in p.l.edge_iter() {
-            let got = othermax(rows[a as usize], e - p.l.left_range(a).start);
-            // brute-force: max over siblings in the same row
-            let best = p
-                .l
-                .left_edges(a)
-                .filter(|&(_, f)| f != e)
-                .map(|(_, f)| g[f])
-                .fold(f64::NEG_INFINITY, f64::max);
-            let expect = best.max(0.0);
-            prop_assert!((got - expect).abs() < 1e-12,
-                "edge {}: got {} want {}", e, got, expect);
+            let (max1, max2, arg) = rows[a as usize];
+            let pos = e - p.l.left_range(a).start;
+            let siblings = p.l.left_edges(a).map(|(_, f)| f).filter(|&f| f != e);
+            let (best, expect) = othermax_reference(&g, siblings);
+            let unclamped = if pos == arg { max2 } else { max1 };
+            prop_assert_eq!(unclamped.to_bits(), best.to_bits(), "edge {}", e);
+            let got = othermax(rows[a as usize], pos);
+            prop_assert_eq!(got.to_bits(), expect.to_bits(), "edge {}: got {} want {}", e, got, expect);
         }
     }
 
     #[test]
     fn othermax_col_oracle(p in arb_problem(), seed in 100u64..200) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let m = p.l.num_edges();
-        let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        let g = palette_values(p.l.num_edges(), seed);
         let pos = column_positions(&p.l);
         let mut rows = vec![(0.0, 0.0, 0usize); p.l.num_left()];
         let mut cols = vec![(0.0, 0.0, 0usize); p.l.num_right()];
         vertex_stats_into(&p.l, &g, &g, &mut rows, &mut cols, 1000);
         for (_, b, e) in p.l.edge_iter() {
+            let (max1, max2, arg) = cols[b as usize];
+            let siblings = p.l.right_edges(b).map(|(_, f)| f).filter(|&f| f != e);
+            let (best, expect) = othermax_reference(&g, siblings);
+            let unclamped = if pos[e] as usize == arg { max2 } else { max1 };
+            prop_assert_eq!(unclamped.to_bits(), best.to_bits(), "edge {}", e);
             let got = othermax(cols[b as usize], pos[e] as usize);
-            let best = p
-                .l
-                .right_edges(b)
-                .filter(|&(_, f)| f != e)
-                .map(|(_, f)| g[f])
-                .fold(f64::NEG_INFINITY, f64::max);
-            let expect = best.max(0.0);
-            prop_assert!((got - expect).abs() < 1e-12);
+            prop_assert_eq!(got.to_bits(), expect.to_bits(), "edge {}: got {} want {}", e, got, expect);
         }
     }
 

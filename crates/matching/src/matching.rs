@@ -1,6 +1,6 @@
 //! The [`Matching`] result type.
 
-use netalign_graph::{BipartiteGraph, EdgeId, VertexId};
+use netalign_graph::{BipartiteGraph, VertexId};
 
 /// Sentinel for an unmatched vertex.
 pub const UNMATCHED: VertexId = VertexId::MAX;
@@ -184,13 +184,6 @@ impl Matching {
     /// Total weight under `l`'s own weight vector.
     pub fn weight_in(&self, l: &BipartiteGraph) -> f64 {
         self.weight(l, l.weights())
-    }
-
-    /// Edge ids (global order) of the matched pairs.
-    pub fn edge_ids(&self, l: &BipartiteGraph) -> Vec<EdgeId> {
-        self.pairs()
-            .map(|(a, b)| l.edge_id(a, b).expect("matched pair must be an edge of L"))
-            .collect()
     }
 
     /// 0/1 indicator vector `x` over the global edge order of `l`.

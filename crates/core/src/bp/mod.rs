@@ -1239,3 +1239,78 @@ mod tests {
         }
     }
 }
+
+/// The out-of-core engine's iterate against the in-core one's.
+#[cfg(test)]
+mod ooc_gate {
+    use super::*;
+    use crate::trace::faults;
+    use netalign_graph::generators::{lcsh_like, LcshLikeConfig};
+
+    const ITERATIONS: usize = 8;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Step `BpEngine::new` and `BpEngine::new_ooc` side by side at pools
+    /// 1 and 2 and superblocks of 257 entries, a third of `S` and all of
+    /// it, and compare `y`, `z` and the committed `S` stream with the
+    /// in-core iterate after every iteration, bit for bit.
+    #[test]
+    fn ooc_iterates_match_in_core_bit_for_bit() {
+        // The engines' step is a fault point that other tests arm.
+        let _guard = faults::test_lock();
+        let inst = lcsh_like(
+            &LcshLikeConfig {
+                va: 260,
+                vb: 200,
+                ea: 600,
+                eb: 700,
+                el: 2600,
+                exponent: 2.0,
+                edge_retention: 0.9,
+                l_coverage: 0.9,
+                confusion: 0.7,
+                max_deg: 40,
+            },
+            11,
+        );
+        let (a, b, l) = (inst.a, inst.b, inst.l);
+        let p = NetAlignProblem::new(a.clone(), b.clone(), l.clone());
+        let dir = std::env::temp_dir().join(format!("netalign-ooc-gate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = SquaresMatrix::build_streaming(&a, &b, &l, &dir.join("s.nacs"), 1 << 16).unwrap();
+        let nnz = s.nnz();
+        let mapped = NetAlignProblem::from_parts(a, b, l, s);
+        let cfg = AlignConfig {
+            iterations: ITERATIONS,
+            ..Default::default()
+        };
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for sb in [257, nnz / 3, nnz] {
+                let opts = OocOptions::new(&dir).with_superblock_entries(sb);
+                pool.install(|| {
+                    let mut inc = BpEngine::new(&p, &cfg);
+                    let mut ooc = BpEngine::new_ooc(&mapped, &cfg, &opts).unwrap();
+                    for k in 1..=ITERATIONS {
+                        for e in [&mut inc, &mut ooc] {
+                            e.step();
+                            e.discard_pending();
+                        }
+                        let at = format!("pool {threads}, superblock {sb}, iteration {k}");
+                        let committed = ooc.ooc.as_ref().unwrap().committed_s();
+                        assert!(bits(&ooc.y) == bits(&inc.y), "{at}: y differs");
+                        assert!(bits(&ooc.z) == bits(&inc.z), "{at}: z differs");
+                        assert!(bits(committed) == bits(&inc.sk), "{at}: S differs");
+                    }
+                });
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

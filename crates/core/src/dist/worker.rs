@@ -436,3 +436,133 @@ fn worker_main(spec: &str) -> i32 {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bp::BpEngine;
+    use crate::config::AlignConfig;
+    use crate::dist::partition::{merge_col_partials, Partition};
+    use crate::problem::NetAlignProblem;
+    use crate::trace::faults;
+    use netalign_graph::generators::{add_random_edges, identity_plus_noise_l, power_law_graph};
+    use std::path::Path;
+
+    const ITERATIONS: usize = 8;
+
+    /// A power-law instance whose candidate weights all tie at 1.0, so
+    /// every vertex statistic has tied maxima.
+    fn instance(n: usize, seed: u64) -> NetAlignProblem {
+        let g = power_law_graph(n, 2.5, 10, seed);
+        let a = add_random_edges(&g, 0.03, seed + 1);
+        let b = add_random_edges(&g, 0.03, seed + 2);
+        let l = identity_plus_noise_l(n, n, 5.0 / n as f64, 1.0, 1.0, seed + 3);
+        NetAlignProblem::new(a, b, l)
+    }
+
+    /// Part `r`'s worker state as a fresh `Setup` from the coordinator
+    /// builds it.
+    fn worker(
+        p: &NetAlignProblem,
+        cfg: &AlignConfig,
+        part: &Partition,
+        r: usize,
+        dir: &Path,
+    ) -> WorkerState {
+        let pt = &part.parts[r];
+        WorkerState::build(SetupMsg {
+            na: p.l.num_left() as u32,
+            nb: p.l.num_right() as u32,
+            edges: (0..p.l.num_edges())
+                .map(|e| {
+                    let (a, b) = p.l.endpoints(e);
+                    (a, b, p.l.weights()[e])
+                })
+                .collect(),
+            part_index: r as u32,
+            num_parts: part.num_ranks() as u32,
+            a_lo: pt.a_lo as u64,
+            a_hi: pt.a_hi as u64,
+            e_lo: pt.e_lo as u64,
+            e_hi: pt.e_hi as u64,
+            v_lo: pt.v_lo as u64,
+            v_hi: pt.v_hi as u64,
+            rowptr: p.s.rowptr()[pt.e_lo..=pt.e_hi]
+                .iter()
+                .map(|&v| v as u64)
+                .collect(),
+            send_plan: pt.send_plan.clone(),
+            scatter_plan: pt.scatter_plan.clone(),
+            alpha: cfg.alpha,
+            beta: cfg.beta,
+            state_dir: dir.display().to_string(),
+            ..SetupMsg::default()
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Drive every part of a `ranks`-way partition in process through
+    /// the coordinator's supersteps A–D — the halo routed by part, the
+    /// column partials merged with `merge_col_partials` — and compare
+    /// the concatenated blocks each part checkpointed with the engine's
+    /// committed iterate after every iteration, bit for bit.
+    fn check(p: &NetAlignProblem, ranks: usize, dir: &Path) {
+        let cfg = AlignConfig {
+            iterations: ITERATIONS,
+            ..Default::default()
+        };
+        let part = Partition::new(p, ranks);
+        let np = part.num_ranks();
+        let mut workers: Vec<WorkerState> =
+            (0..np).map(|r| worker(p, &cfg, &part, r, dir)).collect();
+        let mut engine = BpEngine::new(p, &cfg);
+        for k in 1..=ITERATIONS {
+            let gk = cfg.damping.fresh_weight(cfg.gamma, k);
+            let halo: Vec<Vec<Vec<f64>>> = workers.iter().map(|w| w.produce_halo()).collect();
+            for (r, w) in workers.iter_mut().enumerate() {
+                let routed: Vec<Vec<f64>> = (0..np).map(|src| halo[src][r].clone()).collect();
+                w.scatter_halo(&routed);
+            }
+            let partials: Vec<_> = workers.iter_mut().map(|w| w.solve()).collect();
+            let stats = merge_col_partials(&partials, p.l.num_right(), np);
+            let (mut y, mut z, mut sk) = (Vec::new(), Vec::new(), Vec::new());
+            for (r, w) in workers.iter_mut().enumerate() {
+                let Reply::Blocks { y: yb, z: zb } = w.finish(k as u32, gk, &stats) else {
+                    panic!("part {r} did not finish iteration {k}");
+                };
+                let block = ckpt::read(&dir.join(ckpt::file_name(r as u32, k as u32)))
+                    .expect("finish checkpoints before it replies");
+                assert!(bits(&yb) == bits(&block.y_prev) && bits(&zb) == bits(&block.z_prev));
+                y.extend_from_slice(&block.y_prev);
+                z.extend_from_slice(&block.z_prev);
+                sk.extend_from_slice(&block.sk_prev);
+            }
+
+            engine.step();
+            engine.discard_pending();
+            let state = engine.checkpoint_state();
+            let at = format!("{ranks} ranks, iteration {k}");
+            assert!(bits(&y) == bits(&state.y), "{at}: y differs");
+            assert!(bits(&z) == bits(&state.z), "{at}: z differs");
+            assert!(bits(&sk) == bits(&state.sk), "{at}: S differs");
+        }
+    }
+
+    #[test]
+    fn worker_iterates_match_the_engine_bit_for_bit() {
+        // The engine's step is a fault point that other tests arm.
+        let _guard = faults::test_lock();
+        let dir = std::env::temp_dir().join(format!("netalign-worker-gate-{}", std::process::id()));
+        for (n, seed) in [(60, 3), (90, 17)] {
+            let p = instance(n, seed);
+            for ranks in 1..=5 {
+                let _ = std::fs::remove_dir_all(&dir);
+                check(&p, ranks, &dir);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -353,6 +353,12 @@ impl OocState {
         std::mem::swap(&mut self.sk, &mut self.sk_next);
         std::mem::swap(&mut self.skt, &mut self.skt_next);
     }
+
+    /// The committed `S⁽ᵏ⁾` stream.
+    #[cfg(test)]
+    pub(crate) fn committed_s(&self) -> &[f64] {
+        self.sk.as_slice()
+    }
 }
 
 /// Merge consecutive span groups into superblocks of roughly

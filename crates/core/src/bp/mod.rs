@@ -52,10 +52,20 @@
 //! The committed iterate `(y, z, S)` is read-only during a step: the
 //! passes write a second buffer set, which is swapped in when the count
 //! is zero. The numeric guard's rollback is therefore free — the
-//! committed iterate simply stays — and halves the damping base. Every
-//! f64 operation keeps the operands and order of the step-by-step form
-//! (`y = d − omc`, `scale = (y + z) − d`, `γᵏ·x + (1 − γᵏ)·prev`), so the
-//! results are bit-identical at every pool size.
+//! committed iterate simply stays — and halves the damping base.
+//!
+//! Listing 2's arithmetic has one home: this module's scalar functions
+//! `f_entry` (step 1), `row_d` and `f_row` (steps 1–2 of a row),
+//! `edge_messages` (steps 3–5 of an edge) and `damped`, and the
+//! statistics of [`othermax`](mod@othermax) (`push`, `max2`, `merge`).
+//! The passes here, the out-of-core sweeps ([`crate::oocore`]), the
+//! distributed worker ([`crate::dist`]) and the delta replay
+//! ([`crate::delta`]) each keep their own loops and compute through
+//! them, so every path applies the same f64 operations in the same
+//! order and the results are bit-identical at every pool size,
+//! superblock size, worker count and delta. Each path has a gate that
+//! compares its iterate with the in-core engine's bit for bit after
+//! every iteration.
 //!
 //! The rounding step is the only place the matching algorithm appears;
 //! the iterates themselves are independent of it (paper §VII), which is
@@ -87,7 +97,7 @@ use crate::objective::{
 };
 use crate::oocore::{OocError, OocOptions, OocState};
 use crate::problem::NetAlignProblem;
-use crate::result::{AlignmentResult, IterationRecord};
+use crate::result::{fold_incumbent, AlignmentResult, IterationRecord};
 use crate::rounding::{round_heuristic, RoundedSolution};
 use crate::rowspans::RowSpans;
 use crate::squares::SquaresMatrix;
@@ -648,18 +658,8 @@ impl<'a> BpEngine<'a> {
             .rounding_batch_sizes
             .push(flush_bufs.len() as u64);
         let values = lanes.iter().flat_map(|lane| &lane.values);
-        for ((&iter_k, g), v) in flush_iter.iter().zip(flush_bufs.iter()).zip(values) {
-            if record_history {
-                history.push(IterationRecord {
-                    iteration: iter_k,
-                    objective: v.total,
-                    weight: v.weight,
-                    overlap: v.overlap,
-                    upper_bound: None,
-                });
-            }
-            if best.is_none_or(|(b, _)| v.total > b) {
-                *best = Some((v.total, iter_k));
+        for ((&iter_k, g), &v) in flush_iter.iter().zip(flush_bufs.iter()).zip(values) {
+            if fold_incumbent(history, record_history, best, iter_k, v, None) {
                 best_g.copy_from_slice(g);
                 trace.algo.best_improvements += 1;
             }
@@ -825,15 +825,60 @@ fn fused_f_d(
             let rows = row_bounds[g]..row_bounds[g + 1];
             let base = entry_bounds[g];
             for (de, e) in d_chunk.iter_mut().zip(rows) {
-                let mut acc = 0.0;
-                for idx in rowptr[e]..rowptr[e + 1] {
-                    let f = (beta + sk[perm[idx]]).clamp(0.0, beta);
-                    fv_chunk[idx - base] = f;
-                    acc += f;
-                }
-                *de = alpha * w[e] + acc;
+                let (lo, hi) = (rowptr[e], rowptr[e + 1]);
+                let t = perm[lo..hi].iter().map(|&i| sk[i]);
+                *de = f_row(alpha * w[e], beta, t, &mut fv_chunk[lo - base..hi - base]);
             }
         });
+}
+
+// Listing 2's arithmetic, which every BP path computes through (see the
+// module docs).
+
+/// Step 1 for one entry: `F = bound₀^β(β + t)` of the entry's
+/// transpose value `t = S⁽ᵏ⁻¹⁾ᵀ[e, c]`.
+#[inline]
+pub(crate) fn f_entry(beta: f64, t: f64) -> f64 {
+    (beta + t).clamp(0.0, beta)
+}
+
+/// Step 2 for one row: `d = αw + ΣF` over the row's `F` values, added
+/// up from `+0.0` in storage order. (`Iterator::sum` starts from
+/// `−0.0`, which would change `d` when `αw` is `−0.0`.)
+#[inline]
+pub(crate) fn row_d(aw: f64, f: impl Iterator<Item = f64>) -> f64 {
+    aw + f.fold(0.0, |acc, v| acc + v)
+}
+
+/// Steps 1 and 2 for one row of `S`: writes `F` of the row's transpose
+/// values `t` into `f` and returns `d = αw + ΣF`, summed as [`row_d`]
+/// sums it.
+#[inline]
+pub(crate) fn f_row(aw: f64, beta: f64, t: impl Iterator<Item = f64>, f: &mut [f64]) -> f64 {
+    row_d(
+        aw,
+        f.iter_mut().zip(t).map(|(f, t)| {
+            *f = f_entry(beta, t);
+            *f
+        }),
+    )
+}
+
+/// Steps 3–5 for one edge, from its row sum `d`, its two othermax
+/// values and its committed messages `y`, `z`: the damped `y` and `z`,
+/// and the row scale `(y + z) − d` of the undamped ones, by which step 4
+/// writes the edge's row `S⁽ᵏ⁾ = scale − F` (damped with [`damped`]).
+#[inline]
+pub(crate) fn edge_messages(
+    gk: f64,
+    d: f64,
+    omr: f64,
+    omc: f64,
+    y: f64,
+    z: f64,
+) -> (f64, f64, f64) {
+    let (yn, zn) = (d - omc, d - omr);
+    (damped(gk, yn, y), damped(gk, zn, z), yn + zn - d)
 }
 
 /// Step 5's interpolation of one value: `γᵏ·fresh + (1 − γᵏ)·prev`.
@@ -864,13 +909,7 @@ impl EdgeUpdate<'_> {
         let (a, b) = self.l.endpoints(e);
         let omr = othermax(self.row_stats[a as usize], e - self.l.left_range(a).start);
         let omc = othermax(self.col_stats[b as usize], self.col_pos[e] as usize);
-        let d = self.d[e];
-        let (y, z) = (d - omc, d - omr);
-        (
-            damped(self.gk, y, self.y[e]),
-            damped(self.gk, z, self.z[e]),
-            y + z - d,
-        )
+        edge_messages(self.gk, self.d[e], omr, omc, self.y[e], self.z[e])
     }
 
     /// The per-edge update over the edges `rows` (one span group),

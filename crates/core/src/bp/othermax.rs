@@ -14,6 +14,12 @@
 //! its vertex's statistic inside pass 3's per-edge update. The left
 //! side's edge ranges are contiguous in the global order, the right
 //! side goes through the column CSR's edge-id list.
+//!
+//! These are the only statistic kernels of every BP path: a statistic
+//! is a fold of [`push`] over a vertex's edges in list order
+//! ([`max2`]), and [`merge`] folds in the statistic of a later run of
+//! the same list, so a distributed worker's per-rank column partials
+//! merge into exactly the engine's statistic.
 
 use netalign_graph::{BipartiteGraph, VertexId};
 use rayon::prelude::*;
@@ -23,26 +29,41 @@ use std::hint::select_unpredictable;
 /// vector over the vertex's edge list, as [`max2`] computes it.
 pub type Max2 = (f64, f64, usize);
 
-/// Find `(max, second_max, argmax_position)` of an iterator of values:
-/// a value strictly above the maximum takes its place (the old maximum
-/// becomes the second), else one strictly above the second maximum
-/// replaces it. Both comparisons run for every value and select without
-/// branching, since on real iterates their outcome is data-dependent
-/// and a mispredicted branch costs more than the select. `pub(crate)`
-/// so the delta replay recomputes othermax entries with bit-identical
-/// comparison order.
+/// The statistic of no values.
+pub(crate) const EMPTY: Max2 = (f64::NEG_INFINITY, f64::NEG_INFINITY, usize::MAX);
+
+/// Fold the value `v` at list position `pos` into a statistic: a value
+/// strictly above the maximum takes its place (the old maximum becomes
+/// the second), else one strictly above the second maximum replaces it.
+/// So ties keep the earliest position, and NaN never enters. Both
+/// comparisons run for every value and select without branching, since
+/// on real iterates their outcome is data-dependent and a mispredicted
+/// branch costs more than the select.
+#[inline]
+pub(crate) fn push((max1, max2, arg): Max2, v: f64, pos: usize) -> Max2 {
+    let (top, second) = (v > max1, v > max2);
+    (
+        select_unpredictable(top, v, max1),
+        select_unpredictable(top, max1, select_unpredictable(second, v, max2)),
+        select_unpredictable(top, pos, arg),
+    )
+}
+
+/// The statistic of a whole edge list: [`push`] over the values in list
+/// order, from [`EMPTY`].
 #[inline]
 pub(crate) fn max2(vals: impl Iterator<Item = f64>) -> Max2 {
-    let mut max1 = f64::NEG_INFINITY;
-    let mut max2 = f64::NEG_INFINITY;
-    let mut arg = usize::MAX;
-    for (i, v) in vals.enumerate() {
-        let (top, second) = (v > max1, v > max2);
-        max2 = select_unpredictable(top, max1, select_unpredictable(second, v, max2));
-        max1 = select_unpredictable(top, v, max1);
-        arg = select_unpredictable(top, i, arg);
-    }
-    (max1, max2, arg)
+    vals.enumerate()
+        .fold(EMPTY, |stat, (i, v)| push(stat, v, i))
+}
+
+/// Merge into `stat` the statistic `later` of a run of list positions
+/// after all of `stat`'s: push its maximum at its own position, then its
+/// second maximum, which can no longer become the maximum. The result
+/// is bit for bit the statistic of the two runs pushed in order.
+#[inline]
+pub(crate) fn merge(stat: Max2, (max1, max2, arg): Max2) -> Max2 {
+    push(push(stat, max1, arg), max2, arg)
 }
 
 /// `othermax` of the edge at position `pos` of its vertex's edge list,
@@ -196,7 +217,9 @@ mod tests {
 
     /// Every list of up to four values drawn from a palette with ties,
     /// both zeros, both infinities and NaN, the empty list included:
-    /// `max2` agrees with the branching loop bit for bit, argmax too.
+    /// `max2` agrees with the branching loop bit for bit, argmax too,
+    /// and so does the `merge` of a tail's statistic (at the tail's own
+    /// positions) into the head's, at every split of the list.
     #[test]
     fn max2_matches_the_branching_loop_bit_for_bit() {
         let palette = [
@@ -213,12 +236,18 @@ mod tests {
             for code in 0..palette.len().pow(len) {
                 vals.clear();
                 vals.extend((0..len).map(|d| palette[code / palette.len().pow(d) % palette.len()]));
-                let (got, want) = (max2(vals.iter().copied()), max2_branching(&vals));
-                assert_eq!(
-                    (got.0.to_bits(), got.1.to_bits(), got.2),
-                    (want.0.to_bits(), want.1.to_bits(), want.2),
-                    "{vals:?}"
-                );
+                let want = max2_branching(&vals);
+                let merged = (0..=vals.len()).map(|cut| {
+                    let tail = (cut..vals.len()).fold(EMPTY, |s, i| push(s, vals[i], i));
+                    merge(max2(vals[..cut].iter().copied()), tail)
+                });
+                for got in std::iter::once(max2(vals.iter().copied())).chain(merged) {
+                    assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits(), got.2),
+                        (want.0.to_bits(), want.1.to_bits(), want.2),
+                        "{vals:?}"
+                    );
+                }
             }
         }
     }

@@ -15,8 +15,10 @@
 //!    (survivor rows carry their recorded iterates verbatim);
 //! 3. each iteration is *replayed* over a dirty candidate set only:
 //!    a row is recomputed when one of its inputs changed bitwise in
-//!    the previous iteration, using scalar kernels that replicate the
-//!    parallel cold kernels' floating-point order exactly;
+//!    the previous iteration, through the engine's own Listing 2
+//!    kernels ([`crate::bp`]'s scalar functions and the statistics of
+//!    [`othermax`](mod@crate::bp::othermax)), so its floating-point
+//!    order is the cold run's;
 //! 4. a rounded stage whose heuristic vector came out bitwise
 //!    unchanged reuses the recorded matching (matchers are pure
 //!    functions of `(structure(L), g)`); otherwise the stage is
@@ -39,13 +41,13 @@
 //! mid-run, which the replay does not model). Recorded trajectories
 //! cost `T·(2·|E_L| + nnz(S))` floats — record deliberately.
 
-use crate::bp::othermax::{column_positions, max2};
-use crate::bp::BpEngine;
+use crate::bp::othermax::{column_positions, max2, othermax};
+use crate::bp::{damped, edge_messages, f_entry, f_row, BpEngine};
 use crate::checkpoint::{BpState, PayloadReader, PayloadWriter};
 use crate::config::AlignConfig;
 use crate::objective::{evaluate_matching_with_scratch, EvalScratch, ObjectiveValue};
 use crate::problem::NetAlignProblem;
-use crate::result::{AlignmentResult, IterationRecord};
+use crate::result::{fold_incumbent, AlignmentResult, IterationRecord};
 use crate::squares::SquaresPatchStats;
 use crate::trace::{AlgoCounters, MatcherCounters, RunTrace};
 use netalign_graph::delta::REMOVED;
@@ -720,35 +722,10 @@ fn replay_patched(
         };
     }
 
-    // Fold the incumbent over all replayed stages in slot order —
-    // exactly the cold run's strict-improvement fold — and assemble
-    // the result through the shared finalize tail.
-    let mut best: Option<(f64, usize)> = None;
-    let mut best_slot = 0usize;
-    let mut history = Vec::new();
-    for (slot, st) in traj.stages.iter().enumerate() {
-        if config.record_history {
-            history.push(IterationRecord {
-                iteration: st.iteration,
-                objective: st.value.total,
-                weight: st.value.weight,
-                overlap: st.value.overlap,
-                upper_bound: None,
-            });
-        }
-        if best.is_none_or(|(b, _)| st.value.total > b) {
-            best = Some((st.value.total, st.iteration));
-            best_slot = slot;
-        }
-    }
+    // Fold the incumbent over all replayed stages and assemble the
+    // result through the shared finalize tail.
+    let (history, best, best_g) = fold_stages(&traj, traj.stages.len(), config);
     let (best_obj, best_iter) = best.expect("stages is non-empty (iterations > 0)");
-    let it = best_slot / 2;
-    let src = if best_slot.is_multiple_of(2) {
-        &traj.y
-    } else {
-        &traj.z
-    };
-    let best_g = src[it * m2..(it + 1) * m2].to_vec();
     let result = crate::bp::finalize(
         &p2,
         config,
@@ -821,9 +798,6 @@ fn replay_sparse(
     }
 
     for k in 1..=tt {
-        if std::env::var_os("NETALIGN_DELTA_DEBUG").is_some() {
-            eprintln!("replay k={k} cand={} escape_rows={escape_rows}", cand.len());
-        }
         if cand.len() > escape_rows {
             return Some(k);
         }
@@ -865,20 +839,15 @@ fn replay_sparse(
             let sk_cur = &mut shi[..nnz2];
 
             for &e in &cand {
-                // Listing 2 steps 1+2 for this row, in the cold
-                // kernel's exact accumulation order.
+                // Listing 2 steps 1+2 for this row.
                 let r = rowptr2[e]..rowptr2[e + 1];
                 fv_row.clear();
-                let mut acc = 0.0;
-                for idx in r.clone() {
-                    let f = (beta + sk_prev[perm2[idx]]).clamp(0.0, beta);
-                    fv_row.push(f);
-                    acc += f;
-                }
-                let d_e = alpha * w2[e] + acc;
+                fv_row.resize(r.len(), 0.0);
+                let t = perm2[r.clone()].iter().map(|&i| sk_prev[i]);
+                let d_e = f_row(alpha * w2[e], beta, t, &mut fv_row);
 
-                // Step 3: othermax, one (max, max2, arg) stat per
-                // touched vertex per iteration.
+                // Step 3: othermax, one statistic per touched vertex
+                // per iteration.
                 let (a, b) = p2.l.endpoints(e);
                 let (au, bu) = (a as usize, b as usize);
                 let arange = p2.l.left_range(a);
@@ -886,31 +855,20 @@ fn replay_sparse(
                     row_epoch[au] = epoch;
                     row_stats[au] = max2(y_prev[arange.clone()].iter().copied());
                 }
-                let (m1r, m2r, argr) = row_stats[au];
-                let omr = if e - arange.start == argr { m2r } else { m1r }.max(0.0);
+                let omr = othermax(row_stats[au], e - arange.start);
                 if col_epoch[bu] != epoch {
                     col_epoch[bu] = epoch;
                     col_stats[bu] = max2(p2.l.right_edges(b).map(|(_, e2)| z_prev[e2]));
                 }
-                let (m1c, m2c, argc) = col_stats[bu];
-                let omc = if col_pos2[e] as usize == argc {
-                    m2c
-                } else {
-                    m1c
-                }
-                .max(0.0);
-                let y_new = d_e - omc;
-                let z_new = d_e - omr;
+                let omc = othermax(col_stats[bu], col_pos2[e] as usize);
 
-                // Steps 4+5: S-row rescale, then damping. `forced`
-                // rows (no carried base state) must propagate to every
-                // reader: their pre-overwrite slot content is not the
-                // base value, so the comparisons below are meaningless
-                // for them.
-                let scale = y_new + z_new - d_e;
+                // Steps 4+5: the messages and the S-row rescale, damped.
+                // `forced` rows (no carried base state) must propagate
+                // to every reader: their pre-overwrite slot content is
+                // not the base value, so the comparisons below are
+                // meaningless for them.
+                let (yd, zd, scale) = edge_messages(gk, d_e, omr, omc, y_prev[e], z_prev[e]);
                 let forced = always_dirty[e];
-                let yd = gk * y_new + (1.0 - gk) * y_prev[e];
-                let zd = gk * z_new + (1.0 - gk) * z_prev[e];
                 let changed_y = forced | (yd.to_bits() != y_cur[e].to_bits());
                 y_cur[e] = yd;
                 let changed_z = forced | (zd.to_bits() != z_cur[e].to_bits());
@@ -918,16 +876,15 @@ fn replay_sparse(
                 let mut changed_own = changed_y | changed_z;
                 for (off, idx) in r.enumerate() {
                     let old = sk_cur[idx];
-                    let skd = gk * (scale - fv_row[off]) + (1.0 - gk) * sk_prev[idx];
+                    let skd = damped(gk, scale - fv_row[off], sk_prev[idx]);
                     sk_cur[idx] = skd;
                     if config.numeric_guards && !skd.is_finite() {
                         nonfinite = true;
                     }
                     let moved = skd.to_bits() != old.to_bits();
                     changed_own |= moved;
-                    let visible = moved
-                        && (beta + old).clamp(0.0, beta).to_bits()
-                            != (beta + skd).clamp(0.0, beta).to_bits();
+                    let visible =
+                        moved && f_entry(beta, old).to_bits() != f_entry(beta, skd).to_bits();
                     if forced || visible {
                         let c = colidx2[idx] as usize;
                         if cand_epoch[c] != next {
@@ -1023,6 +980,43 @@ fn replay_sparse(
     None
 }
 
+/// The cold run's incumbent fold over the first `stages` recorded
+/// stages, in slot order: the history, the incumbent `(objective,
+/// iteration)` and a copy of its heuristic vector (zeros without one).
+fn fold_stages(
+    traj: &BpTrajectory,
+    stages: usize,
+    config: &AlignConfig,
+) -> (Vec<IterationRecord>, Option<(f64, usize)>, Vec<f64>) {
+    let (mut history, mut best, mut best_slot) = (Vec::new(), None, None);
+    for (slot, st) in traj.stages[..stages].iter().enumerate() {
+        let record = config.record_history;
+        if fold_incumbent(
+            &mut history,
+            record,
+            &mut best,
+            st.iteration,
+            st.value,
+            None,
+        ) {
+            best_slot = Some(slot);
+        }
+    }
+    let m = traj.m;
+    let best_g = match best_slot {
+        Some(slot) => {
+            let src = if slot.is_multiple_of(2) {
+                &traj.y
+            } else {
+                &traj.z
+            };
+            src[slot / 2 * m..(slot / 2 + 1) * m].to_vec()
+        }
+        None => vec![0.0; m],
+    };
+    (history, best, best_g)
+}
+
 /// Escape hatch: reconstruct a checkpoint at the last fully replayed
 /// iteration boundary (`k_esc - 1`) and let a real [`BpEngine`] run
 /// the rest, recording into the same trajectory. Bit-identical to the
@@ -1041,36 +1035,7 @@ fn escape_resume(
     // Incumbent/history as of the last flush boundary — later stages
     // are still "pending" at the checkpoint and get rounded (again,
     // identically) by the resumed engine.
-    let mut best: Option<(f64, usize)> = None;
-    let mut best_slot = 0usize;
-    let mut history = Vec::new();
-    for (slot, st) in traj.stages.iter().enumerate().take(2 * last_flush) {
-        if config.record_history {
-            history.push(IterationRecord {
-                iteration: st.iteration,
-                objective: st.value.total,
-                weight: st.value.weight,
-                overlap: st.value.overlap,
-                upper_bound: None,
-            });
-        }
-        if best.is_none_or(|(b, _)| st.value.total > b) {
-            best = Some((st.value.total, st.iteration));
-            best_slot = slot;
-        }
-    }
-    let best_g = match best {
-        Some(_) => {
-            let it = best_slot / 2;
-            let src = if best_slot.is_multiple_of(2) {
-                &traj.y
-            } else {
-                &traj.z
-            };
-            src[it * m2..(it + 1) * m2].to_vec()
-        }
-        None => vec![0.0; m2],
-    };
+    let (history, best, best_g) = fold_stages(&traj, 2 * last_flush, config);
 
     let mut engine = BpEngine::new(p2, config);
     if kb > 0 {

@@ -7,13 +7,13 @@
 //!
 //! * **A** — gather halo payloads (`ProduceHalo`), route them by the
 //!   static plans, scatter (`ScatterHalo`);
-//! * **B** — `Solve` runs F/d/othermaxrow and column partials on every
-//!   worker concurrently;
+//! * **B** — `Solve` runs F/d and the column partials on every worker
+//!   concurrently;
 //! * **C** — the coordinator merges column partials with
 //!   [`merge_col_partials`];
-//! * **D** — `Finish` completes othermaxcol, the S update, and damping
-//!   on the workers, which checkpoint durably *before* replying and
-//!   return their damped `y`/`z` blocks;
+//! * **D** — `Finish` completes othermax, the messages, the S update
+//!   and damping on the workers, which checkpoint durably *before*
+//!   replying and return their damped `y`/`z` blocks;
 //! * **E** — rounding runs the distributed locally-dominant matcher
 //!   *over the same RPC transport*, the coordinator acting as the
 //!   message router between rank phases.
@@ -29,16 +29,17 @@
 //! single-process engine no matter which faults fired.
 
 use super::ckpt;
-use super::partition::{merge_col_partials, ColStat, Partition};
+use super::partition::{merge_col_partials, Partition};
 use super::rpc::{LinkDead, Rpc, Timeouts, MAX_FRAME};
 use super::wire::{decode_frame, Frame, MatchPhase, Reply, Request, SetupMsg};
 use super::worker::WORKER_ENV;
 use crate::bp::exact_final_round;
+use crate::bp::othermax::Max2;
 use crate::config::AlignConfig;
 use crate::frame::{self, FrameRead};
 use crate::objective::evaluate_matching;
 use crate::problem::NetAlignProblem;
-use crate::result::{AlignmentResult, IterationRecord};
+use crate::result::{fold_incumbent, AlignmentResult, IterationRecord};
 use crate::rounding::RoundedSolution;
 use crate::trace::RunTrace;
 use netalign_matching::distributed::{pairs_to_matching, DistMsg, Quiescence};
@@ -594,7 +595,7 @@ fn iterate_once(
 
     // B: concurrent local solves.
     let solved = broadcast(cluster, assign, vec![Request::Solve { k }; np])?;
-    let all_partials: Vec<Vec<(u32, ColStat)>> = solved
+    let all_partials: Vec<Vec<(u32, Max2)>> = solved
         .into_iter()
         .enumerate()
         .map(|(i, reply)| match reply {
@@ -736,11 +737,12 @@ fn round_distributed(
 
 /// The coordinator's rounding state, kept across epochs: iterates
 /// gathered but not yet rounded, the recorded history, the incumbent
-/// `(objective, iterate, iteration)` and the run trace.
+/// `(objective, iteration)` and its iterate, and the run trace.
 struct Rounding {
     pending: Vec<(usize, Vec<f64>)>,
     history: Vec<IterationRecord>,
-    best: Option<(f64, Vec<f64>, usize)>,
+    best: Option<(f64, usize)>,
+    best_g: Vec<f64>,
     trace: RunTrace,
 }
 
@@ -751,7 +753,7 @@ impl Rounding {
     fn rollback(&mut self, j: u32) {
         self.pending.retain(|(ik, _)| *ik as u32 <= j);
         self.history.retain(|r| r.iteration as u32 <= j);
-        if self.best.as_ref().is_some_and(|&(_, _, bi)| bi as u32 > j) {
+        if self.best.is_some_and(|(_, bi)| bi as u32 > j) {
             self.best = None;
         }
     }
@@ -776,17 +778,9 @@ impl Rounding {
             let matching = round_distributed(cluster, p, g, assign, matcher_msg_drop)?;
             let (ik, g) = self.pending.remove(0);
             let value = evaluate_matching(p, &matching, config.alpha, config.beta);
-            if config.record_history {
-                self.history.push(IterationRecord {
-                    iteration: ik,
-                    objective: value.total,
-                    weight: value.weight,
-                    overlap: value.overlap,
-                    upper_bound: None,
-                });
-            }
-            if self.best.as_ref().is_none_or(|(b, _, _)| value.total > *b) {
-                self.best = Some((value.total, g, ik));
+            let (history, best) = (&mut self.history, &mut self.best);
+            if fold_incumbent(history, config.record_history, best, ik, value, None) {
+                self.best_g = g;
                 self.trace.algo.best_improvements += 1;
             }
         }
@@ -808,6 +802,7 @@ fn drive(
         pending: Vec::new(),
         history: Vec::new(),
         best: None,
+        best_g: Vec::new(),
         trace: RunTrace::new(),
     };
     // Last iteration whose Finish replies were all gathered — its
@@ -863,16 +858,11 @@ fn drive(
         // Final re-rounding of the best iterate (the single-process
         // engine's closing step); the exact conversion runs on the
         // coordinator because the exact matcher is centralized.
-        let (best_obj, best_g, best_iter) = {
-            let (b, g, bi) = rounding
-                .best
-                .as_ref()
-                .expect("at least one rounding happened");
-            (*b, g.clone(), *bi)
-        };
+        let (best_obj, best_iter) = rounding.best.expect("at least one rounding happened");
+        let best_g = &rounding.best_g;
         let RoundedSolution { matching, value } =
-            match round_distributed(cluster, p, &best_g, &assign, dc.matcher_msg_drop) {
-                Ok(m) => exact_final_round(p, config, &best_g, best_obj, || m),
+            match round_distributed(cluster, p, best_g, &assign, dc.matcher_msg_drop) {
+                Ok(m) => exact_final_round(p, config, best_g, best_obj, || m),
                 Err(DeadSlot(slot)) => {
                     recover(cluster, slot, dc)?;
                     continue 'epoch;

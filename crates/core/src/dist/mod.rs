@@ -13,8 +13,9 @@
 //! * [`rpc`] — reliable request/response over a lossy transport
 //!   (sequence numbers, retransmission, reconnect handling,
 //!   deterministic fault injection on first transmissions);
-//! * [`worker`] — the worker process loop: the BP superstep kernels
-//!   and matcher phases, exactly-once execution via seq dedup, durable
+//! * [`worker`] — the worker process loop: the BP supersteps, which
+//!   compute through the engine's Listing 2 functions, and matcher
+//!   phases, exactly-once execution via seq dedup, durable
 //!   per-iteration checkpoints, deterministic crash points;
 //! * [`ckpt`] — the `NADC` checkpoint files recovery resumes from;
 //! * [`coordinator`] — supervision (heartbeats, bounded respawn,

@@ -12,53 +12,17 @@
 //!   exactly those values (the CombBLAS-style sparse communication
 //!   plan);
 //! * `othermaxcol` is a two-superstep **partial-stats merge**: parts
-//!   compute `(max, second-max, argmax-edge)` partials ([`ColStat`]) for
-//!   each right vertex they touch, the vertex's owner merges them
-//!   deterministically ([`merge_col_partials`]; ties keep the lowest
-//!   edge id, matching the shared-memory kernel), and merged stats flow
-//!   back to the contributors.
+//!   compute the engine's [`Max2`] statistic of their run of each right
+//!   vertex's edge list, keyed by list position, the vertex's owner
+//!   merges them in part order ([`merge_col_partials`], with
+//!   [`othermax::merge`]), and merged stats flow back to the
+//!   contributors. A part owns a contiguous edge range and a list names
+//!   its edges in id order, so the parts' runs of a list are contiguous
+//!   and in part order, and the merged statistic is the engine's bit
+//!   for bit — ties keep the earliest position.
 
+use crate::bp::othermax::{self, Max2};
 use crate::problem::NetAlignProblem;
-
-/// Column statistics for the othermaxcol merge; workers ship partials
-/// to the coordinator over the wire.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct ColStat {
-    pub(crate) max1: f64,
-    pub(crate) max2: f64,
-    pub(crate) arg_eid: u32,
-}
-
-impl ColStat {
-    pub(crate) const EMPTY: ColStat = ColStat {
-        max1: f64::NEG_INFINITY,
-        max2: f64::NEG_INFINITY,
-        arg_eid: u32::MAX,
-    };
-
-    /// Fold one value in edge order (strict `>` keeps the earliest
-    /// edge on ties — the shared-memory kernel's behaviour).
-    pub(crate) fn push(&mut self, v: f64, eid: u32) {
-        if v > self.max1 {
-            self.max2 = self.max1;
-            self.max1 = v;
-            self.arg_eid = eid;
-        } else if v > self.max2 {
-            self.max2 = v;
-        }
-    }
-
-    /// Merge another partial computed over *later* edges.
-    pub(crate) fn merge(&mut self, other: &ColStat) {
-        if other.max1 > self.max1 {
-            self.max2 = self.max1.max(other.max2);
-            self.max1 = other.max1;
-            self.arg_eid = other.arg_eid;
-        } else {
-            self.max2 = self.max2.max(other.max1);
-        }
-    }
-}
 
 /// One part's static share of a left-vertex-aligned partition, plus
 /// the halo-exchange plans for the transpose gather. Computed once by
@@ -179,17 +143,17 @@ impl Partition {
 
 /// Merge per-part `othermaxcol` partials over `nb` right vertices into
 /// one global stat list: group by the right vertex's owner, merge in
-/// part order (= edge order, so ties keep the lowest edge id), then
-/// flatten in owner order. Within an owner, vertices keep the order in
-/// which they first appear, so every right vertex is named once.
+/// part order (= list order), then flatten in owner order. Within an
+/// owner, vertices keep the order in which they first appear, so every
+/// right vertex is named once.
 pub(crate) fn merge_col_partials(
-    all_partials: &[Vec<(u32, ColStat)>],
+    all_partials: &[Vec<(u32, Max2)>],
     nb: usize,
     nranks: usize,
-) -> Vec<(u32, ColStat)> {
+) -> Vec<(u32, Max2)> {
     let bblock = nb.div_ceil(nranks).max(1);
     let owner_of_b = |b: u32| ((b as usize) / bblock).min(nranks - 1);
-    let mut merged: Vec<Vec<(u32, ColStat)>> = vec![Vec::new(); nranks];
+    let mut merged: Vec<Vec<(u32, Max2)>> = vec![Vec::new(); nranks];
     // slot[b]: b's position in its owner's merged list.
     let mut slot = vec![u32::MAX; nb];
     for &(b, stat) in all_partials.iter().flatten() {
@@ -199,7 +163,7 @@ pub(crate) fn merge_col_partials(
                 slot[b as usize] = list.len() as u32;
                 list.push((b, stat));
             }
-            i => list[i as usize].1.merge(&stat),
+            i => list[i as usize].1 = othermax::merge(list[i as usize].1, stat),
         }
     }
     merged.concat()

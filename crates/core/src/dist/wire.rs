@@ -7,7 +7,7 @@
 //! Decoding is total: torn or trailing bytes yield a typed
 //! [`WireError`], never a panic or an over-read.
 
-use super::partition::ColStat;
+use crate::bp::othermax::Max2;
 use netalign_matching::distributed::DistMsg;
 
 /// Decode failure. The transport treats any of these as a poisoned
@@ -230,17 +230,17 @@ pub enum Request {
     ScatterHalo {
         payloads: Vec<Vec<f64>>,
     },
-    /// Superstep B: F/d kernels, othermaxrow, column partials.
+    /// Superstep B: F/d kernels, column partials.
     Solve {
         k: u32,
     },
     /// Superstep C+D: merged column stats in, finish the iteration
-    /// (othermaxcol, y/z, S update, damping), checkpoint, return the
+    /// (othermax, y/z, S update, damping), checkpoint, return the
     /// damped y/z blocks for rounding.
     Finish {
         k: u32,
         gk: f64,
-        stats: Vec<(u32, ColStat)>,
+        stats: Vec<(u32, Max2)>,
     },
     /// Initialize a matcher run over `weights` (a gathered iterate).
     MatchStart {
@@ -268,7 +268,7 @@ pub enum Request {
 pub enum Reply {
     Ack,
     HaloPayloads(Vec<Vec<f64>>),
-    Partials(Vec<(u32, ColStat)>),
+    Partials(Vec<(u32, Max2)>),
     Blocks {
         y: Vec<f64>,
         z: Vec<f64>,
@@ -324,29 +324,22 @@ fn dec_dist_msg(d: &mut Dec<'_>) -> Result<DistMsg, WireError> {
     }
 }
 
-fn enc_stats(e: &mut Enc, stats: &[(u32, ColStat)]) {
+/// Column statistics; the position travels as a `u64`, so the empty
+/// statistic's `usize::MAX` survives.
+fn enc_stats(e: &mut Enc, stats: &[(u32, Max2)]) {
     e.u64(stats.len() as u64);
-    for (b, s) in stats {
-        e.u32(*b);
-        e.f64(s.max1);
-        e.f64(s.max2);
-        e.u32(s.arg_eid);
+    for &(b, (max1, max2, pos)) in stats {
+        e.u32(b);
+        e.f64(max1);
+        e.f64(max2);
+        e.u64(pos as u64);
     }
 }
 
-fn dec_stats(d: &mut Dec<'_>) -> Result<Vec<(u32, ColStat)>, WireError> {
-    let n = d.len(24)?;
+fn dec_stats(d: &mut Dec<'_>) -> Result<Vec<(u32, Max2)>, WireError> {
+    let n = d.len(28)?;
     (0..n)
-        .map(|_| {
-            Ok((
-                d.u32()?,
-                ColStat {
-                    max1: d.f64()?,
-                    max2: d.f64()?,
-                    arg_eid: d.u32()?,
-                },
-            ))
-        })
+        .map(|_| Ok((d.u32()?, (d.f64()?, d.f64()?, d.u64()? as usize))))
         .collect()
 }
 
@@ -683,14 +676,10 @@ mod tests {
             req: Request::Finish {
                 k: 9,
                 gk: 0.5,
-                stats: vec![(
-                    4,
-                    ColStat {
-                        max1: 1.0,
-                        max2: f64::NEG_INFINITY,
-                        arg_eid: u32::MAX,
-                    },
-                )],
+                stats: vec![
+                    (4, (1.0, f64::NEG_INFINITY, 0)),
+                    (5, (f64::NEG_INFINITY, f64::NEG_INFINITY, usize::MAX)),
+                ],
             },
         });
         roundtrip(Frame::Request {

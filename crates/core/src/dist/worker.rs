@@ -6,8 +6,12 @@
 //! `main`. The worker dials the coordinator, says `Hello{slot}`, and
 //! then serves requests forever:
 //!
-//! * BP supersteps run the **same floating-point operations in the
-//!   same order** as the single-process engine (bit-identity),
+//! * BP supersteps compute through the engine's Listing 2 kernels
+//!   ([`crate::bp`]'s scalar functions and the statistics of
+//!   [`othermax`](mod@crate::bp::othermax)) over this rank's block of
+//!   edges and rows of `S`, with the transpose values of those rows fed
+//!   by the halo exchange, so the iterates are the engine's bit for
+//!   bit,
 //! * matcher phases delegate to the transport-agnostic
 //!   [`RankCore`](netalign_matching::distributed::RankCore),
 //! * every `Finish` writes an `NADC` checkpoint **before** replying, so
@@ -23,9 +27,10 @@
 //! abort the process at exact protocol moments for the chaos suite.
 
 use super::ckpt::{self, CkptBlock};
-use super::partition::ColStat;
 use super::rpc::MAX_FRAME;
 use super::wire::{decode_frame, encode_frame, Frame, MatchPhase, Reply, Request, SetupMsg};
+use crate::bp::othermax::{self, column_positions, max2, othermax, push, Max2};
+use crate::bp::{damped, edge_messages, f_row};
 use crate::frame::{self, FrameRead};
 use netalign_graph::BipartiteGraph;
 use netalign_matching::distributed::RankCore;
@@ -49,33 +54,40 @@ pub fn maybe_run_worker() {
     }
 }
 
-/// One rank's solver state: its block of the BP iterates.
+/// One rank's solver state: its block of the BP iterates — the edges of
+/// the left vertices `a_lo..a_hi`, `e_lo..e_hi`, and their rows of `S`,
+/// the values `v_lo..v_hi` — each vector indexed from its block's start.
 struct WorkerState {
     l: BipartiteGraph,
     part_index: usize,
     num_parts: usize,
+    a_lo: usize,
+    a_hi: usize,
     e_lo: usize,
     e_hi: usize,
     v_lo: usize,
     v_hi: usize,
-    /// Global `rowptr[e_lo..=e_hi]` (indexed locally by `e - e_lo`).
+    /// `rowptr[e_lo..=e_hi]`, shifted to start at zero.
     rowptr: Vec<usize>,
+    /// Each edge's position in its right vertex's list.
+    col_pos: Vec<u32>,
     send_plan: Vec<Vec<u32>>,
     scatter_plan: Vec<Vec<u32>>,
     alpha: f64,
     beta: f64,
     state_dir: PathBuf,
+    // The committed iterate, and the `Finish` output swapped in for it.
     y: Vec<f64>,
     z: Vec<f64>,
-    y_prev: Vec<f64>,
-    z_prev: Vec<f64>,
-    d: Vec<f64>,
     sk: Vec<f64>,
-    sk_prev: Vec<f64>,
+    y_next: Vec<f64>,
+    z_next: Vec<f64>,
+    sk_next: Vec<f64>,
+    /// `S⁽ᵏ⁻¹⁾ᵀ` at this rank's entries, as the halo exchange delivers it.
     skt: Vec<f64>,
+    // `Solve`'s F and d for `Finish`.
+    d: Vec<f64>,
     fv: Vec<f64>,
-    omr: Vec<f64>,
-    omc: Vec<f64>,
     matcher: Option<(RankCore, Vec<f64>)>,
 }
 
@@ -92,36 +104,36 @@ impl WorkerState {
         let nv = v_hi - v_lo;
         let or_zeros = |v: Vec<f64>, len: usize| if v.is_empty() { vec![0.0; len] } else { v };
         WorkerState {
+            col_pos: column_positions(&l),
             l,
             part_index: msg.part_index as usize,
             num_parts: msg.num_parts as usize,
+            a_lo: msg.a_lo as usize,
+            a_hi: msg.a_hi as usize,
             e_lo,
             e_hi,
             v_lo,
             v_hi,
-            rowptr: msg.rowptr.iter().map(|&v| v as usize).collect(),
+            rowptr: msg.rowptr.iter().map(|&v| v as usize - v_lo).collect(),
             send_plan: msg.send_plan,
             scatter_plan: msg.scatter_plan,
             alpha: msg.alpha,
             beta: msg.beta,
             state_dir: PathBuf::from(msg.state_dir),
-            y: vec![0.0; ne],
-            z: vec![0.0; ne],
-            y_prev: or_zeros(msg.y_prev, ne),
-            z_prev: or_zeros(msg.z_prev, ne),
-            d: vec![0.0; ne],
-            sk: vec![0.0; nv],
-            sk_prev: or_zeros(msg.sk_prev, nv),
+            y: or_zeros(msg.y_prev, ne),
+            z: or_zeros(msg.z_prev, ne),
+            sk: or_zeros(msg.sk_prev, nv),
+            y_next: vec![0.0; ne],
+            z_next: vec![0.0; ne],
+            sk_next: vec![0.0; nv],
             skt: vec![0.0; nv],
+            d: vec![0.0; ne],
             fv: vec![0.0; nv],
-            omr: vec![0.0; ne],
-            omc: vec![0.0; ne],
             matcher: None,
         }
     }
 
-    /// Local rowptr access: the shipped slice is global values indexed
-    /// by `e - e_lo`.
+    /// The local entries of edge `e`'s row of `S`.
     #[inline]
     fn row(&self, e: usize) -> std::ops::Range<usize> {
         self.rowptr[e - self.e_lo]..self.rowptr[e - self.e_lo + 1]
@@ -131,7 +143,7 @@ impl WorkerState {
     fn produce_halo(&self) -> Vec<Vec<f64>> {
         self.send_plan
             .iter()
-            .map(|plan| plan.iter().map(|&pos| self.sk_prev[pos as usize]).collect())
+            .map(|plan| plan.iter().map(|&pos| self.sk[pos as usize]).collect())
             .collect()
     }
 
@@ -144,99 +156,60 @@ impl WorkerState {
         }
     }
 
-    /// Superstep B: F/d kernels, othermaxrow, column partials.
-    fn solve(&mut self) -> Vec<(u32, ColStat)> {
+    /// Superstep B: F and d of this rank's rows, and the `othermaxcol`
+    /// statistic of the committed `z` over this rank's run of each right
+    /// vertex's list (see [`super::partition`]), one per right vertex in
+    /// order of first appearance.
+    fn solve(&mut self) -> Vec<(u32, Max2)> {
         let w = self.l.weights();
-        for i in 0..self.fv.len() {
-            self.fv[i] = (self.beta + self.skt[i]).clamp(0.0, self.beta);
-        }
         for e in self.e_lo..self.e_hi {
-            let le = e - self.e_lo;
-            let mut acc = 0.0;
-            for idx in self.row(e) {
-                acc += self.fv[idx - self.v_lo];
-            }
-            self.d[le] = self.alpha * w[e] + acc;
+            let r = self.row(e);
+            let t = self.skt[r.clone()].iter().copied();
+            self.d[e - self.e_lo] = f_row(self.alpha * w[e], self.beta, t, &mut self.fv[r]);
         }
-        // othermaxrow on y_prev: rows are local.
-        for a in 0..self.l.num_left() as u32 {
-            let r = self.l.left_range(a);
-            if r.start < self.e_lo || r.end > self.e_hi || r.is_empty() {
-                continue;
-            }
-            let mut stat = ColStat::EMPTY;
-            for e in r.clone() {
-                stat.push(self.y_prev[e - self.e_lo], e as u32);
-            }
-            for e in r {
-                let v = if e as u32 == stat.arg_eid {
-                    stat.max2
-                } else {
-                    stat.max1
-                };
-                self.omr[e - self.e_lo] = v.max(0.0);
-            }
-        }
-        // Column partials over z_prev, one per right vertex in order of
-        // first appearance; slot[b] is b's position in the list.
-        let mut partials: Vec<(u32, ColStat)> = Vec::new();
+        // slot[b] is b's position in the list.
+        let mut partials: Vec<(u32, Max2)> = Vec::new();
         let mut slot = vec![u32::MAX; self.l.num_right()];
         for e in self.e_lo..self.e_hi {
             let b = self.l.endpoints(e).1 as usize;
             if slot[b] == u32::MAX {
                 slot[b] = partials.len() as u32;
-                partials.push((b as u32, ColStat::EMPTY));
+                partials.push((b as u32, othermax::EMPTY));
             }
-            partials[slot[b] as usize]
-                .1
-                .push(self.z_prev[e - self.e_lo], e as u32);
+            let stat = &mut partials[slot[b] as usize].1;
+            *stat = push(*stat, self.z[e - self.e_lo], self.col_pos[e] as usize);
         }
         partials
     }
 
-    /// Superstep D: finish othermax, S update, damping; then durably
-    /// checkpoint the damped state for iteration `k` before the caller
-    /// replies.
-    fn finish(&mut self, k: u32, gk: f64, stats: &[(u32, ColStat)]) -> Reply {
+    /// Superstep D: finish this rank's iterate from the merged column
+    /// statistics and commit it; then durably checkpoint it for
+    /// iteration `k` before the caller replies.
+    fn finish(&mut self, k: u32, gk: f64, stats: &[(u32, Max2)]) -> Reply {
         // The merged list names each right vertex once.
-        let mut col = vec![ColStat::EMPTY; self.l.num_right()];
+        let mut col_stats = vec![othermax::EMPTY; self.l.num_right()];
         for &(b, stat) in stats {
-            col[b as usize] = stat;
+            col_stats[b as usize] = stat;
         }
-        for e in self.e_lo..self.e_hi {
-            let le = e - self.e_lo;
-            let stat = col[self.l.endpoints(e).1 as usize];
-            let v = if e as u32 == stat.arg_eid {
-                stat.max2
-            } else {
-                stat.max1
-            };
-            self.omc[le] = v.max(0.0);
-        }
-        for le in 0..self.y.len() {
-            self.y[le] = self.d[le] - self.omc[le];
-            self.z[le] = self.d[le] - self.omr[le];
-        }
-        // S^(k) = diag(y + z - d) S - F (local rows).
-        for e in self.e_lo..self.e_hi {
-            let le = e - self.e_lo;
-            let scale = self.y[le] + self.z[le] - self.d[le];
-            for idx in self.row(e) {
-                self.sk[idx - self.v_lo] = scale - self.fv[idx - self.v_lo];
+        let lo = self.e_lo;
+        for a in self.a_lo..self.a_hi {
+            let edges = self.l.left_range(a as u32);
+            let row_stat = max2(self.y[edges.start - lo..edges.end - lo].iter().copied());
+            for e in edges.clone() {
+                let le = e - lo;
+                let omr = othermax(row_stat, e - edges.start);
+                let b = self.l.endpoints(e).1 as usize;
+                let omc = othermax(col_stats[b], self.col_pos[e] as usize);
+                let (y, z, scale) = edge_messages(gk, self.d[le], omr, omc, self.y[le], self.z[le]);
+                (self.y_next[le], self.z_next[le]) = (y, z);
+                for i in self.row(e) {
+                    self.sk_next[i] = damped(gk, scale - self.fv[i], self.sk[i]);
+                }
             }
         }
-        for (c, pr) in self.y.iter_mut().zip(self.y_prev.iter_mut()) {
-            *c = gk * *c + (1.0 - gk) * *pr;
-            *pr = *c;
-        }
-        for (c, pr) in self.z.iter_mut().zip(self.z_prev.iter_mut()) {
-            *c = gk * *c + (1.0 - gk) * *pr;
-            *pr = *c;
-        }
-        for (c, pr) in self.sk.iter_mut().zip(self.sk_prev.iter_mut()) {
-            *c = gk * *c + (1.0 - gk) * *pr;
-            *pr = *c;
-        }
+        std::mem::swap(&mut self.y, &mut self.y_next);
+        std::mem::swap(&mut self.z, &mut self.z_next);
+        std::mem::swap(&mut self.sk, &mut self.sk_next);
         let block = CkptBlock {
             part: self.part_index as u32,
             iteration: k,
@@ -244,9 +217,9 @@ impl WorkerState {
             e_hi: self.e_hi as u64,
             v_lo: self.v_lo as u64,
             v_hi: self.v_hi as u64,
-            y_prev: self.y_prev.clone(),
-            z_prev: self.z_prev.clone(),
-            sk_prev: self.sk_prev.clone(),
+            y_prev: self.y.clone(),
+            z_prev: self.z.clone(),
+            sk_prev: self.sk.clone(),
         };
         if let Err(e) = ckpt::write(&self.state_dir, &block) {
             return Reply::Err(format!("checkpoint write failed: {e}"));

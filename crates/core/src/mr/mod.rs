@@ -35,7 +35,7 @@ use crate::checkpoint::MrState;
 use crate::config::AlignConfig;
 use crate::objective::{evaluate_matching_with_scratch, EvalScratch};
 use crate::problem::NetAlignProblem;
-use crate::result::{AlignmentResult, IterationRecord};
+use crate::result::{fold_incumbent, AlignmentResult, IterationRecord};
 use crate::rowspans::RowSpans;
 use crate::trace::{faults, MatcherCounters, RunTrace, Step};
 use netalign_matching::{MatcherEngine, MatcherKind};
@@ -274,17 +274,15 @@ impl<'a> MrEngine<'a> {
             self.trace.algo.rounding_batch_sizes.push(1);
         }
 
-        if self.config.record_history {
-            self.history.push(IterationRecord {
-                iteration: k,
-                objective: value.total,
-                weight: value.weight,
-                overlap: value.overlap,
-                upper_bound: Some(upper),
-            });
-        }
-        if self.best.is_none_or(|(b, _)| value.total > b) {
-            self.best = Some((value.total, k));
+        let record_history = self.config.record_history;
+        if fold_incumbent(
+            &mut self.history,
+            record_history,
+            &mut self.best,
+            k,
+            value,
+            Some(upper),
+        ) {
             self.best_g
                 .copy_from_slice(if use_enriched { &self.g2 } else { &self.wbar });
             self.trace.algo.best_improvements += 1;

@@ -17,28 +17,26 @@
 //! with **strictly sequential** sweeps over the pattern. An iteration
 //! runs the in-core engine's three passes (see [`crate::bp`]):
 //!
-//! * pass 1, the fused F/d sweep, computes
-//!   `d[r] = α·w[r] + Σ_{idx ∈ row r} bound₀^β(β + skt[idx])`, reading
-//!   the committed `skt` in storage order and storing no `F`;
+//! * pass 1, the fused F/d sweep, sums each row's `F` of the committed
+//!   `skt`, read in storage order, into `d` and stores no `F`;
 //! * pass 2, the per-vertex othermax statistics, touches only
 //!   `m`-sized state and is unchanged;
 //! * pass 3 runs the in-core per-edge update — the damped messages
-//!   and the row scale `y + z − d` — over all edges first, keeping
-//!   every scale. Then one superblock sweep writes
-//!   `sk_next[idx] = γ·(scale[row] − f(idx)) + (1−γ)·sk[idx]` and
-//!   `skt_next[idx] = γ·(scale[colidx[idx]] − fᵗ(idx)) + (1−γ)·skt[idx]`
-//!   with `f(idx) = bound₀^β(β + skt[idx])`,
-//!   `fᵗ(idx) = bound₀^β(β + sk[idx])`. It reads and writes all four
-//!   `nnz` streams in storage order, with only the `m`-sized `scale`
-//!   vector accessed randomly, and counts non-finite `sk_next` values
-//!   for the numeric guard.
+//!   and the row scale — over all edges first, keeping every scale.
+//!   Then one superblock sweep writes each entry's damped `scale − F`
+//!   twice: into `sk_next` with its row's scale and `F` of `skt`, and
+//!   into `skt_next` with its column's scale and `F` of `sk`. It reads
+//!   and writes all four `nnz` streams in storage order, with only the
+//!   `m`-sized `scale` vector accessed randomly, and counts non-finite
+//!   `sk_next` values for the numeric guard.
 //!
 //! As in core, the committed streams are read-only during a step, and
-//! the `_next` streams swap in only when the iterate is finite. Every
-//! f64 operation consumes bit-identical operands in the same order as
-//! the in-core passes, so the out-of-core run is **bit-identical** to
-//! the in-core run at every thread count and superblock size — the
-//! `oocore` integration tests pin this.
+//! the `_next` streams swap in only when the iterate is finite. Both
+//! sweeps compute through the engine's Listing 2 functions
+//! ([`crate::bp`]) on bit-identical operands, so the out-of-core run is
+//! **bit-identical** to the in-core run at every thread count and
+//! superblock size: a unit test compares the iterates after every
+//! iteration, and the `oocore` integration tests the results.
 //!
 //! The four `nnz` streams live in unlinked memory-mapped scratch
 //! files ([`ScratchF64`]); the pattern is served by a mapped
@@ -47,7 +45,7 @@
 //! (`msync` + `MADV_DONTNEED`), so peak RSS stays near the `m`-sized
 //! baseline plus one superblock window regardless of `nnz`.
 
-use crate::bp::{damped, BpEngine};
+use crate::bp::{damped, f_entry, row_d, BpEngine};
 use crate::config::AlignConfig;
 use crate::problem::NetAlignProblem;
 use crate::result::AlignmentResult;
@@ -268,11 +266,9 @@ impl OocState {
         })
     }
 
-    /// Pass 1 out of core: `d[r] = α·w[r] + Σ bound₀^β(β + skt[idx])`,
-    /// one superblock at a time, the transpose read through the
-    /// committed companion stream in storage order — no permutation
-    /// gather, no stored `F`. Accumulation order matches the in-core
-    /// pass exactly.
+    /// Pass 1 out of core: each row's `d`, one superblock at a time, the
+    /// transpose read through the committed companion stream in storage
+    /// order — no permutation gather, no stored `F`.
     pub(crate) fn fused_d(&self, p: &NetAlignProblem, alpha: f64, beta: f64, d: &mut [f64]) {
         let (rowptr, w) = (p.s.rowptr(), p.l.weights());
         for sb in &self.superblocks {
@@ -283,11 +279,8 @@ impl OocState {
                 .for_each(|(g, d_chunk)| {
                     let rows = (sb.rows.start + rb[g])..(sb.rows.start + rb[g + 1]);
                     for (de, e) in d_chunk.iter_mut().zip(rows) {
-                        let mut acc = 0.0;
-                        for idx in rowptr[e]..rowptr[e + 1] {
-                            acc += (beta + skt[idx]).clamp(0.0, beta);
-                        }
-                        *de = alpha * w[e] + acc;
+                        let t = skt[rowptr[e]..rowptr[e + 1]].iter();
+                        *de = row_d(alpha * w[e], t.map(|&t| f_entry(beta, t)));
                     }
                 });
             self.skt.release(sb.entries.clone());
@@ -296,14 +289,11 @@ impl OocState {
 
     /// Pass 3's `S` sweep out of core, after the per-edge update filled
     /// `scale`: both `sk_next` and its transpose companion are produced
-    /// in storage order, one superblock at a time —
-    /// `sk_next[idx] = γ·(scale[row] − f) + (1−γ)·sk[idx]` and
-    /// `skt_next[idx] = γ·(scale[colidx[idx]] − fᵗ) + (1−γ)·skt[idx]`
-    /// with `f`/`fᵗ` the bound of the respective *other* stream (the
-    /// involution `perm ∘ perm = id` makes both expressions exact
-    /// transposes of each other). Only `scale` (m-sized, resident) is
-    /// accessed randomly. Returns the count of non-finite `sk_next`
-    /// values for the numeric guard.
+    /// in storage order, one superblock at a time, each entry's `F` from
+    /// the respective *other* stream (the involution `perm ∘ perm = id`
+    /// makes the two writes exact transposes of each other). Only
+    /// `scale` (m-sized, resident) is accessed randomly. Returns the
+    /// count of non-finite `sk_next` values for the numeric guard.
     pub(crate) fn update_s(
         &mut self,
         p: &NetAlignProblem,
@@ -328,11 +318,11 @@ impl OocState {
                     let mut bad = 0u64;
                     for e in (sb.rows.start + rb[g])..(sb.rows.start + rb[g + 1]) {
                         for idx in rowptr[e]..rowptr[e + 1] {
-                            let f = (beta + skt[idx]).clamp(0.0, beta);
+                            let f = f_entry(beta, skt[idx]);
                             let v = damped(gk, scale[e] - f, sk[idx]);
                             sk_chunk[idx - base] = v;
                             bad += u64::from(!v.is_finite());
-                            let ft = (beta + sk[idx]).clamp(0.0, beta);
+                            let ft = f_entry(beta, sk[idx]);
                             skt_chunk[idx - base] =
                                 damped(gk, scale[colidx[idx] as usize] - ft, skt[idx]);
                         }

@@ -1,5 +1,6 @@
 //! Alignment run results.
 
+use crate::objective::ObjectiveValue;
 use crate::trace::{Json, RunTrace};
 use netalign_matching::Matching;
 
@@ -17,6 +18,35 @@ pub struct IterationRecord {
     pub overlap: f64,
     /// MR only: the Lagrangian upper bound `w̄ᵀx`.
     pub upper_bound: Option<f64>,
+}
+
+/// One step of every aligner's incumbent fold over its roundings: record
+/// the rounding of `iteration` in `history` if `record_history`, and make
+/// it the incumbent `best = (objective, iteration)` if its objective is
+/// strictly above (a tie keeps the earlier). Returns whether it did; the
+/// caller keeps the incumbent's vector.
+pub(crate) fn fold_incumbent(
+    history: &mut Vec<IterationRecord>,
+    record_history: bool,
+    best: &mut Option<(f64, usize)>,
+    iteration: usize,
+    value: ObjectiveValue,
+    upper_bound: Option<f64>,
+) -> bool {
+    if record_history {
+        history.push(IterationRecord {
+            iteration,
+            objective: value.total,
+            weight: value.weight,
+            overlap: value.overlap,
+            upper_bound,
+        });
+    }
+    let better = best.is_none_or(|(b, _)| value.total > b);
+    if better {
+        *best = Some((value.total, iteration));
+    }
+    better
 }
 
 /// The outcome of a BP or MR run.

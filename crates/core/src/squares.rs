@@ -89,37 +89,41 @@ pub struct SquaresPatchStats {
     pub nnz: usize,
 }
 
+/// The columns of row `e = (i, i')` of the squares matrix, sorted: the
+/// edges `(j, j')` of `L` with `j ∈ adj_A(i)` and `j' ∈ adj_B(i')`.
+fn squares_row(a: &Graph, b: &Graph, l: &BipartiteGraph, e: EdgeId) -> Vec<VertexId> {
+    let (i, ip) = l.endpoints(e);
+    let mut cols: Vec<VertexId> = Vec::new();
+    for &j in a.neighbors(i) {
+        for &jp in b.neighbors(ip) {
+            if let Some(f) = l.edge_id(j, jp) {
+                debug_assert_ne!(f, e, "squares cannot be diagonal");
+                cols.push(f as VertexId);
+            }
+        }
+    }
+    cols.sort_unstable();
+    cols
+}
+
 impl SquaresMatrix {
     /// Enumerate all squares between `A`, `B`, `L` in parallel and
     /// assemble the CSR pattern.
     ///
     /// For each edge `e = (i,i')` of `L`, the candidate partners are
     /// pairs `(j, j')` with `j ∈ adj_A(i)`, `j' ∈ adj_B(i')` and
-    /// `(j,j') ∈ E_L`. We iterate the smaller adjacency against the
-    /// other side's `L` lookup.
+    /// `(j,j') ∈ E_L`: every neighbor pair of the two adjacencies, looked
+    /// up in `L`. [`SquaresMatrix::build_streaming`] and
+    /// [`SquaresMatrix::patch`] enumerate a row the same way.
     pub fn build(a: &Graph, b: &Graph, l: &BipartiteGraph) -> Self {
         assert!(
             l.num_edges() < u32::MAX as usize - 1,
             "edge ids must fit in u32"
         );
-        // Parallel over rows (edges of L); each row's column list is
-        // produced sorted because left_edges / neighbor lists are sorted.
+        // Parallel over rows (edges of L).
         let rows: Vec<Vec<VertexId>> = (0..l.num_edges())
             .into_par_iter()
-            .map(|e| {
-                let (i, ip) = l.endpoints(e);
-                let mut cols: Vec<VertexId> = Vec::new();
-                for &j in a.neighbors(i) {
-                    for &jp in b.neighbors(ip) {
-                        if let Some(f) = l.edge_id(j, jp) {
-                            debug_assert_ne!(f, e, "squares cannot be diagonal");
-                            cols.push(f as VertexId);
-                        }
-                    }
-                }
-                cols.sort_unstable();
-                cols
-            })
+            .map(|e| squares_row(a, b, l, e))
             .collect();
 
         let m = l.num_edges();
@@ -244,20 +248,7 @@ impl SquaresMatrix {
                 let end = (base + ROWS_PER_CHUNK).min(m);
                 let chunk_rows: Vec<Vec<VertexId>> = (base..end)
                     .into_par_iter()
-                    .map(|e| {
-                        let (i, ip) = l.endpoints(e);
-                        let mut cols: Vec<VertexId> = Vec::new();
-                        for &j in a.neighbors(i) {
-                            for &jp in b.neighbors(ip) {
-                                if let Some(f) = l.edge_id(j, jp) {
-                                    debug_assert_ne!(f, e, "squares cannot be diagonal");
-                                    cols.push(f as VertexId);
-                                }
-                            }
-                        }
-                        cols.sort_unstable();
-                        cols
-                    })
+                    .map(|e| squares_row(a, b, l, e))
                     .collect();
                 for (off, cols) in chunk_rows.iter().enumerate() {
                     rowcount[base + off] = cols.len() as u32;
@@ -382,23 +373,10 @@ impl SquaresMatrix {
         assert_eq!(new_to_old.len(), m2);
         debug_assert!(core_rows.windows(2).all(|w| w[0] < w[1]));
 
-        // Re-enumerate core rows with build()'s exact per-row algorithm.
+        // Re-enumerate core rows as build() enumerates every row.
         let core_cols: Vec<Vec<VertexId>> = core_rows
             .par_iter()
-            .map(|&e| {
-                let (i, ip) = l2.endpoints(e);
-                let mut cols: Vec<VertexId> = Vec::new();
-                for &j in a2.neighbors(i) {
-                    for &jp in b2.neighbors(ip) {
-                        if let Some(f) = l2.edge_id(j, jp) {
-                            debug_assert_ne!(f, e, "squares cannot be diagonal");
-                            cols.push(f as VertexId);
-                        }
-                    }
-                }
-                cols.sort_unstable();
-                cols
-            })
+            .map(|&e| squares_row(a2, b2, l2, e))
             .collect();
 
         // Assemble: core rows take their fresh lists; every other row

@@ -799,10 +799,9 @@ impl<'a> BpEngine<'a> {
 }
 
 /// Pass 1, fused Listing 2 steps 1+2: one row-parallel sweep over the
-/// fixed pattern of `S` computes `F[e, :] = bound₀^β(β + S⁽ᵏ⁻¹⁾ᵀ[e, :])`
-/// (the transpose of the committed `sk` read in place through the
-/// value permutation — no materialized `S⁽ᵏ⁻¹⁾ᵀ`) and its row sum
-/// `d[e] = α·w[e] + Σ F[e, :]` in the same pass.
+/// fixed pattern of `S` writes each row's `F` and its sum `d` with
+/// [`f_row`], the transpose of the committed `sk` read in place through
+/// the value permutation — no materialized `S⁽ᵏ⁻¹⁾ᵀ`.
 #[allow(clippy::too_many_arguments)]
 fn fused_f_d(
     s: &SquaresMatrix,

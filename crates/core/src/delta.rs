@@ -988,32 +988,14 @@ fn fold_stages(
     stages: usize,
     config: &AlignConfig,
 ) -> (Vec<IterationRecord>, Option<(f64, usize)>, Vec<f64>) {
-    let (mut history, mut best, mut best_slot) = (Vec::new(), None, None);
+    let (mut history, mut best, mut best_g) = (Vec::new(), None, vec![0.0; traj.m]);
     for (slot, st) in traj.stages[..stages].iter().enumerate() {
-        let record = config.record_history;
-        if fold_incumbent(
-            &mut history,
-            record,
-            &mut best,
-            st.iteration,
-            st.value,
-            None,
-        ) {
-            best_slot = Some(slot);
+        let (h, b) = (&mut history, &mut best);
+        if fold_incumbent(h, config.record_history, b, st.iteration, st.value, None) {
+            let src = [&traj.y, &traj.z][slot % 2];
+            best_g.copy_from_slice(&src[slot / 2 * traj.m..][..traj.m]);
         }
     }
-    let m = traj.m;
-    let best_g = match best_slot {
-        Some(slot) => {
-            let src = if slot.is_multiple_of(2) {
-                &traj.y
-            } else {
-                &traj.z
-            };
-            src[slot / 2 * m..(slot / 2 + 1) * m].to_vec()
-        }
-        None => vec![0.0; m],
-    };
     (history, best, best_g)
 }
 

@@ -274,15 +274,9 @@ impl<'a> MrEngine<'a> {
             self.trace.algo.rounding_batch_sizes.push(1);
         }
 
+        let (history, best) = (&mut self.history, &mut self.best);
         let record_history = self.config.record_history;
-        if fold_incumbent(
-            &mut self.history,
-            record_history,
-            &mut self.best,
-            k,
-            value,
-            Some(upper),
-        ) {
+        if fold_incumbent(history, record_history, best, k, value, Some(upper)) {
             self.best_g
                 .copy_from_slice(if use_enriched { &self.g2 } else { &self.wbar });
             self.trace.algo.best_improvements += 1;

@@ -36,7 +36,7 @@
 //! ([`crate::bp`]) on bit-identical operands, so the out-of-core run is
 //! **bit-identical** to the in-core run at every thread count and
 //! superblock size: a unit test compares the iterates after every
-//! iteration, and the `oocore` integration tests the results.
+//! iteration, and the `oocore` integration tests compare the results.
 //!
 //! The four `nnz` streams live in unlinked memory-mapped scratch
 //! files ([`ScratchF64`]); the pattern is served by a mapped

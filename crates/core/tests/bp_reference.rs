@@ -3,10 +3,13 @@
 //! step at a time, compared bit for bit with the engine's committed
 //! iterate after each of the first iterations at several pool sizes.
 //!
-//! The engine computes Listing 2 as three fused passes (see
-//! `netalign_core::bp`), and the out-of-core engine shares the third;
-//! `oocore.rs` only shows the two engines agree with each other. This
-//! file shows they agree with the formulas:
+//! The engine computes Listing 2 as three fused passes through the
+//! scalar functions of `netalign_core::bp`, which the out-of-core
+//! sweeps, the distributed workers and the delta replay share. Their
+//! own gates (`bp::ooc_gate`, `dist::worker`'s unit test,
+//! `delta_proptests.rs`) show that their iterates equal the engine's;
+//! `oocore.rs` and `tests/dist_transport.rs` only that their rounded
+//! results do. This file shows the engine agrees with the formulas:
 //!
 //! 1. `F = bound₀^β(β·S + S⁽ᵏ⁻¹⁾ᵀ)`, the transpose entry found by
 //!    scanning its row of the pattern;

@@ -1,10 +1,14 @@
 //! Distributed execution over real sockets: the multi-process BP
-//! engine (`netalign_core::dist`) must be **bit-identical** to the
-//! in-process engine at every worker count, and the distributed LD
-//! matcher must keep its guarantees (validity, half-approximation,
-//! termination, maximality) when half its routed messages are dropped
-//! on the wire — the socket counterparts of the message-fault unit
-//! tests in `netalign_matching::distributed`.
+//! engine (`netalign_core::dist`) must give the in-process engine's
+//! results bit for bit — objective, matching, weight, overlap, best
+//! iteration and history — at every worker count. A one-ulp drift in
+//! an iterate rarely moves a rounding, so these checks cannot pin the
+//! iterates; `dist::worker`'s unit test in the core crate compares
+//! those after every iteration. The distributed LD matcher must keep
+//! its guarantees (validity, half-approximation, termination,
+//! maximality) when half its routed messages are dropped on the wire —
+//! the socket counterparts of the message-fault unit tests in
+//! `netalign_matching::distributed`.
 //!
 //! Every test here spawns actual worker *processes* (the `netalignmc`
 //! binary re-entering through `maybe_run_worker`) and talks to them

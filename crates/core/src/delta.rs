@@ -841,7 +841,6 @@ fn replay_sparse(
             for &e in &cand {
                 // Listing 2 steps 1+2 for this row.
                 let r = rowptr2[e]..rowptr2[e + 1];
-                fv_row.clear();
                 fv_row.resize(r.len(), 0.0);
                 let t = perm2[r.clone()].iter().map(|&i| sk_prev[i]);
                 let d_e = f_row(alpha * w2[e], beta, t, &mut fv_row);

@@ -148,7 +148,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Delta replay ≡ cold solve of the patched problem, bitwise, at
-    /// pools {1, 2, 4, 8} — and every pool agrees with every other.
+    /// pools {1, 2, 4, 8}, its advanced trajectory ≡ a cold recording
+    /// byte for byte — and every pool agrees with every other.
     #[test]
     fn delta_replay_matches_cold_across_pools(
         n in 24usize..40,
